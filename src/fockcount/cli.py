@@ -32,6 +32,7 @@ from .counting import (
     count_haldane_wu,
     count_para_restricted,
     count_real,
+    count_window_min,
     count_x_bose,
     count_x_fermi,
 )
@@ -196,12 +197,18 @@ def run_count(args) -> tuple[list[str], list[tuple], int]:
     rows: list[tuple] = []
     failures = 0
 
-    def emit(m, n, extras, value, formula, rule=None, alg=None, has_oracle=True):
+    def emit(m, n, extras, value, formula, rule=None, alg=None, has_oracle=True,
+             canonical=False):
+        # canonical: the closed form counts sorted states, not the Fock
+        # dimension, so the oracle lists the allowed canonical states
         nonlocal failures
         row = [family, m, n, *extras, value, formula]
         if oracle:
             if has_oracle:
-                check = count_enumerated(m, n, rule, alg, cap=cap)
+                if canonical:
+                    check = len(enumerate_allowed(m, n, rule, cap=cap))
+                else:
+                    check = count_enumerated(m, n, rule, alg, cap=cap)
                 agrees = check == value
                 if not agrees:
                     failures += 1
@@ -265,8 +272,8 @@ def run_count(args) -> tuple[list[str], list[tuple], int]:
         _require(args, "M", "N", "p")
         header += ["p", "value", "formula"]
         for m, n, p in product(args.M, args.N, args.p):
-            value = binom(m + (1 - p) * (n - 1), n)
-            emit(m, n, (p,), value, "min-window-binomial", WindowRule(p, "min"))
+            emit(m, n, (p,), count_window_min(m, n, p), "min-window-binomial",
+                 WindowRule(p, "min"), canonical=True)
     else:
         raise ValueError(f"unknown count family {family!r}")
 

@@ -226,6 +226,17 @@ def count_para_restricted(n_sites: int, n_particles: int, p: int, kind: str) -> 
     return binom(n_sites + n_particles - 1, n_particles)
 
 
+def count_window_min(n_sites: int, n_particles: int, p: int) -> int:
+    """Canonical (sorted) states whose neighbouring sites lie at least p
+    apart: C(M + (1-p)(N-1), N), since removing the p - 1 sites each gap
+    must leave empty maps them onto N-subsets of the shortened lattice."""
+    if n_sites < 1 or n_particles < 0:
+        raise ValueError("need M >= 1 and N >= 0")
+    if p < 1:
+        raise ValueError(f"window width must be >= 1, got {p}")
+    return binom(n_sites + (1 - p) * (n_particles - 1), n_particles)
+
+
 def avg_g_identity_holds(p: int, q: int, n_sites: int) -> bool:
     """Floor-difference block identity:
     sum_{i=1..q} floor((M-i)/q) - floor((M-i-p)/q) == p."""

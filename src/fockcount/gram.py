@@ -5,86 +5,143 @@ Gram matrix of all distinct orderings of the multiset. Its rank over the
 rationals is the number of independent states the multiset contributes;
 summing single-site extensions gives the one-particle dimension, and
 differences of those give the extended exclusion-statistics parameter.
+
+Ranks and determinants share one exact kernel over the integers. The
+matrix is scaled to integers by the common denominator of its entries. A
+rank is first taken modulo the prime 2^61 - 1: for an integer matrix
+rank_p <= rank_Q <= min(rows, cols), so a full modular rank certifies the
+rank over Q. A deficient modular rank, and every determinant, goes through
+fraction-free Bareiss elimination, which is exact.
 """
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
-from math import lcm
+from math import factorial, lcm, prod
+from numbers import Rational
 from typing import Iterable, Sequence
 
 from .core import AlgebraSpec, ModeLattice, MonomialState
 from .algebra_engine import inner_product
-from .restrictions import RestrictionRule, is_allowed
+from .restrictions import CapacityExceededError, RestrictionRule, is_allowed
+
+# Largest permutation orbit a Gram matrix is built for: 6! = 720 words.
+MAX_ORBIT_WORDS = 720
+
+# The Mersenne prime 2^61 - 1, modulus of the certified rank.
+RANK_PRIME = (1 << 61) - 1
 
 
-def _integer_matrix(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], int]:
-    """Clear denominators; returns the scaled matrix and the common scale."""
+def _scaled_to_integers(rows: Sequence[Sequence[Rational]]) -> tuple[list[list[int]], int]:
+    """Clear denominators; returns the integer matrix and the common scale."""
     scale = 1
     for row in rows:
         for x in row:
-            scale = lcm(scale, Fraction(x).denominator)
-    return [[int(Fraction(x) * scale) for x in row] for row in rows], scale
+            if scale % x.denominator:
+                scale = lcm(scale, x.denominator)
+    if scale == 1:
+        return [[x.numerator for x in row] for row in rows], 1
+    return [[x.numerator * (scale // x.denominator) for x in row] for row in rows], scale
 
 
-def rational_rank(rows: Sequence[Sequence[Fraction]]) -> int:
-    """Exact rank over the rationals by fraction-free Gaussian elimination.
+def _without_zero_lines(m: list[list[int]]) -> list[list[int]]:
+    """Drop all-zero rows and all-zero columns, which carry no rank."""
+    m = [row for row in m if any(row)]
+    if not m:
+        return m
+    live = [c for c, column in enumerate(zip(*m)) if any(column)]
+    if len(live) < len(m[0]):
+        m = [[row[c] for c in live] for row in m]
+    return m
 
-    The matrix is scaled to integers and reduced Bareiss-style, so every
-    division is exact; the pivot search takes the first non-zero entry in
-    the column.
-    """
-    if not rows:
-        return 0
-    m, _ = _integer_matrix(rows)
-    n_rows, n_cols = len(m), len(m[0])
+
+def _rank_mod_prime(m: list[list[int]]) -> int:
+    """Rank of an integer matrix over the field of RANK_PRIME elements."""
+    p = RANK_PRIME
+    rows = [[x % p for x in row] for row in m]
+    n_rows = len(rows)
     rank = 0
-    prev = 1
-    for col in range(n_cols):
-        piv = next((r for r in range(rank, n_rows) if m[r][col]), None)
+    for col in range(len(rows[0])):
+        piv = next((r for r in range(rank, n_rows) if rows[r][col]), None)
         if piv is None:
             continue
-        m[rank], m[piv] = m[piv], m[rank]
-        pivot = m[rank][col]
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        top = rows[rank]
+        inverse = pow(top[col], -1, p)
+        tail = top[col + 1:]
         for r in range(rank + 1, n_rows):
-            factor = m[r][col]
-            row = m[r]
-            top = m[rank]
-            for c in range(col, n_cols):
-                row[c] = (row[c] * pivot - factor * top[c]) // prev
-        prev = pivot
+            row = rows[r]
+            if row[col]:
+                f = row[col] * inverse % p
+                row[col + 1:] = [(a - f * b) % p for a, b in zip(row[col + 1:], tail)]
         rank += 1
         if rank == n_rows:
             break
     return rank
 
 
-def exact_determinant(rows: Sequence[Sequence[Fraction]]) -> Fraction:
-    """Exact determinant via the same fraction-free elimination."""
+def _bareiss(m: list[list[int]]) -> tuple[int, int, int]:
+    """Fraction-free Gaussian elimination of an integer matrix, in place.
+
+    Every division is exact. Returns the rank, the sign of the row
+    permutation and the last pivot; a square matrix of full rank has
+    determinant sign * last pivot.
+    """
+    n_rows, n_cols = len(m), len(m[0])
+    rank = 0
+    sign = 1
+    prev = 1
+    for col in range(n_cols):
+        piv = next((r for r in range(rank, n_rows) if m[r][col]), None)
+        if piv is None:
+            continue
+        if piv != rank:
+            m[rank], m[piv] = m[piv], m[rank]
+            sign = -sign
+        top = m[rank]
+        pivot = top[col]
+        tail = top[col + 1:]
+        for r in range(rank + 1, n_rows):
+            row = m[r]
+            factor = row[col]
+            row[col + 1:] = [
+                (a * pivot - factor * b) // prev for a, b in zip(row[col + 1:], tail)
+            ]
+        prev = pivot
+        rank += 1
+        if rank == n_rows:
+            break
+    return rank, sign, prev
+
+
+def rational_rank(rows: Sequence[Sequence[Rational]]) -> int:
+    """Exact rank over the rationals.
+
+    A full rank modulo RANK_PRIME is returned as certified; otherwise the
+    integer matrix is reduced by Bareiss elimination.
+    """
+    m = _without_zero_lines(_scaled_to_integers(rows)[0])
+    if not m:
+        return 0
+    full = min(len(m), len(m[0]))
+    if _rank_mod_prime(m) == full:
+        return full
+    return _bareiss(m)[0]
+
+
+def exact_determinant(rows: Sequence[Sequence[Rational]]) -> Fraction:
+    """Exact determinant via the Bareiss elimination of the rank kernel."""
     n = len(rows)
     if n == 0:
         return Fraction(1)
     if any(len(row) != n for row in rows):
         raise ValueError("determinant requires a square matrix")
-    m, scale = _integer_matrix(rows)
-    sign = 1
-    prev = 1
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col]), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            sign = -sign
-        pivot = m[col][col]
-        for r in range(col + 1, n):
-            factor = m[r][col]
-            row = m[r]
-            top = m[col]
-            for c in range(col, n):
-                row[c] = (row[c] * pivot - factor * top[c]) // prev
-        prev = pivot
-    return Fraction(sign * m[n - 1][n - 1], scale**n)
+    m, scale = _scaled_to_integers(rows)
+    rank, sign, last_pivot = _bareiss(m)
+    if rank < n:
+        return Fraction(0)
+    return Fraction(sign * last_pivot, scale**n)
 
 
 @dataclass(frozen=True)
@@ -103,11 +160,38 @@ class GramMatrix:
 
 
 def permutation_orbit(indices: Iterable[int]) -> tuple[MonomialState, ...]:
-    """Distinct orderings of an index multiset, lexicographically sorted."""
-    base = tuple(sorted(indices))
-    if not base:
+    """Distinct orderings of an index multiset, lexicographically sorted.
+
+    Refuses orbits of more than MAX_ORBIT_WORDS words before generating any.
+    """
+    word = sorted(indices)
+    if not word:
         raise ValueError("index multiset must be non-empty")
-    return tuple(sorted(set(permutations(base))))
+    multiplicities = Counter(word).values()
+    size = factorial(len(word)) // prod(factorial(c) for c in multiplicities)
+    if size > MAX_ORBIT_WORDS:
+        raise CapacityExceededError(
+            f"the orbit of {tuple(word)} has {size} words, more than the "
+            f"{MAX_ORBIT_WORDS} a Gram matrix is built for"
+        )
+    if len(multiplicities) == len(word):
+        # distinct letters: permutations of a sorted word are already
+        # distinct and in lexicographic order
+        return tuple(permutations(word))
+    orbit = []
+    while True:
+        orbit.append(tuple(word))
+        # next ordering in lexicographic order
+        i = len(word) - 2
+        while i >= 0 and word[i] >= word[i + 1]:
+            i -= 1
+        if i < 0:
+            return tuple(orbit)
+        j = len(word) - 1
+        while word[j] <= word[i]:
+            j -= 1
+        word[i], word[j] = word[j], word[i]
+        word[i + 1:] = reversed(word[i + 1:])
 
 
 def gram_matrix(

@@ -1,6 +1,7 @@
 """Command-line interface: parsing, output formats, determinism, exit codes."""
 
 import csv
+import hashlib
 import io
 import json
 import subprocess
@@ -224,6 +225,30 @@ def test_verify_all_is_deterministic_and_clean(capsys):
     assert all(r[2] in ("pass", "info") for r in rows)
 
 
+# sha256 of `verify --all --out F`. The verify bytes are a fixed point of the
+# library: a change that alters them updates this hash and says why.
+VERIFY_ALL_SHA256 = "ab778468d4fe4b43190ce51da018d071dcb812a858baca9e8c04930feb1fcd23"
+
+
+def test_verify_all_bytes_are_golden(tmp_path, capsys):
+    target = tmp_path / "verify.csv"
+    code, _, _ = run_cli(["verify", "--all", "--out", str(target)], capsys)
+    assert code == 0
+    assert hashlib.sha256(target.read_bytes()).hexdigest() == VERIFY_ALL_SHA256
+
+
+def test_window_min_oracle_counts_canonical_states(capsys):
+    code, out, _ = run_cli(
+        ["count", "--family", "window-min", "--M", "1..8", "--N", "1..4",
+         "--p", "1,2", "--oracle"],
+        capsys,
+    )
+    assert code == 0
+    header, rows = parse_csv(out)
+    assert len(rows) == 64
+    assert all(r[header.index("agrees")] == "true" for r in rows)
+
+
 def test_module_entrypoint_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "fockcount", "count", "--family", "cs",
@@ -241,3 +266,16 @@ def test_enumeration_cap_reports_capacity_error(capsys):
     )
     assert code == 2
     assert "cap" in err.lower() or "candidate" in err.lower()
+
+
+def test_gram_orbit_capacity_refused_at_once():
+    proc = subprocess.run(
+        [sys.executable, "-m", "fockcount", "gram", "--multiset", "1,2,3,4,5,6,7,8",
+         "--alg", "bose"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "40320 words" in proc.stderr

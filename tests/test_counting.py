@@ -21,6 +21,7 @@ from fockcount.counting import (
     count_haldane_wu,
     count_para_restricted,
     count_real,
+    count_window_min,
     count_x_bose,
     count_x_fermi,
     lambda_eff,
@@ -39,6 +40,7 @@ from oracles import (
     cs_allowed,
     filter_states,
     gentile_allowed,
+    window_allowed,
     x_allowed,
     x_bose_allowed,
 )
@@ -185,6 +187,19 @@ def test_count_gentile_matches_brute_force(m, n, cap):
         filter_states(brute_states(m, n), lambda s: gentile_allowed(s, cap))
     )
     assert count_gentile(m, n, cap) == expected
+
+
+@given(st.integers(1, 10), st.integers(0, 4), st.integers(1, 3))
+def test_count_window_min_matches_brute_force(m, n, p):
+    expected = len(filter_states(brute_states(m, n), lambda s: window_allowed(s, p, "min")))
+    assert count_window_min(m, n, p) == expected
+
+
+def test_count_window_min_validation():
+    with pytest.raises(ValueError):
+        count_window_min(0, 2, 1)
+    with pytest.raises(ValueError):
+        count_window_min(5, 2, 0)
 
 
 def test_count_gentile_frozen_and_limits():

@@ -1,6 +1,7 @@
 """Gram matrices, exact ranks and dimension differences. Ranks from the
-fraction-free elimination are cross-checked against a plain Fraction
-Gaussian eliminator, determinants against the permutation-sum formula."""
+integer kernel (modular certificate, then fraction-free elimination) are
+cross-checked against a plain Fraction Gaussian eliminator, determinants
+against the permutation-sum formula and Zagier's product formula."""
 
 from fractions import Fraction
 from itertools import combinations_with_replacement
@@ -12,6 +13,8 @@ from hypothesis import strategies as st
 
 from fockcount.core import bose, build_lattice, fermi, quon
 from fockcount.gram import (
+    MAX_ORBIT_WORDS,
+    RANK_PRIME,
     exact_determinant,
     extended_g,
     gram_matrix,
@@ -20,7 +23,13 @@ from fockcount.gram import (
     rational_rank,
     sector_dimension,
 )
-from fockcount.restrictions import CSRule, GentileRule, TotalCapRule
+from fockcount.restrictions import (
+    CapacityExceededError,
+    CSRule,
+    GentileRule,
+    TotalCapRule,
+    WindowRule,
+)
 
 from oracles import determinant_bruteforce, gauss_rank
 
@@ -42,6 +51,17 @@ def test_permutation_orbit_with_repeats():
 def test_permutation_orbit_empty_rejected():
     with pytest.raises(ValueError):
         permutation_orbit(())
+
+
+def test_permutation_orbit_capacity_guard():
+    assert len(permutation_orbit(range(1, 7))) == MAX_ORBIT_WORDS
+    # 8! words would be refused before any is generated
+    with pytest.raises(CapacityExceededError):
+        permutation_orbit(range(1, 9))
+    with pytest.raises(CapacityExceededError):
+        gram_matrix(range(1, 8), bose())
+    # a large multiset with a small orbit is not refused
+    assert len(permutation_orbit((1,) * 20 + (2,))) == 21
 
 
 def test_rational_rank_simple_cases():
@@ -81,6 +101,58 @@ def test_exact_determinant_matches_permutation_sum(rows):
     assert exact_determinant(rows) == determinant_bruteforce(
         [[Fraction(x) for x in row] for row in rows]
     )
+
+
+def test_rank_singular_mod_prime_falls_back_to_exact():
+    # both matrices vanish or drop rank modulo RANK_PRIME but not over Q
+    p = Fraction(RANK_PRIME)
+    assert rational_rank([[p]]) == gauss_rank([[p]]) == 1
+    m = [[Fraction(1), Fraction(1)], [Fraction(1), 1 + p]]
+    assert rational_rank(m) == gauss_rank(m) == 2
+    assert exact_determinant(m) == determinant_bruteforce(m) == p
+    scaled = [[x / 3 for x in row] for row in m]
+    assert rational_rank(scaled) == 2
+    assert exact_determinant(scaled) == p / 9
+
+
+# Sectors of at most 60 words from the benchmark's gram-sectors patterns:
+# full-rank quon and q = 0 sectors, rank-deficient Bose and Fermi ones, and
+# rule-projected sectors.
+KERNEL_SECTORS = (
+    ((1, 1, 2, 3, 4), quon(Fraction(-3, 5)), None),
+    ((1, 1, 1, 2, 2, 3), bose(), None),
+    ((1, 1, 1, 2, 2, 3), quon(0), None),
+    ((1, 1, 2, 2, 3), quon(Fraction(-1, 3)), None),
+    ((1, 2, 3, 4), fermi(), None),
+    ((1, 1, 1, 2, 3), quon(Fraction(2, 3)), None),
+    ((1, 2, 3), quon(HALF), None),
+    ((1, 3, 4, 6), quon(Fraction(-1, 3)), WindowRule(2, "min")),
+    ((1, 1, 2, 4), quon(HALF), WindowRule(2, "max")),
+    ((1, 2, 3, 4), bose(), CSRule(1, 2)),
+    ((1, 2, 3, 4), bose(), WindowRule(1, "max")),
+    ((2, 3, 5, 6), fermi(), WindowRule(3, "max")),
+)
+
+
+@pytest.mark.parametrize("ms, alg, rule", KERNEL_SECTORS)
+def test_rational_rank_matches_gaussian_elimination_on_sectors(ms, alg, rule):
+    entries = gram_matrix(ms, alg, rule).entries
+    assert rational_rank(entries) == gauss_rank(entries)
+
+
+def _zagier_determinant(n, q):
+    """Zagier's product formula for the distinct-letter quon Gram matrix."""
+    det = Fraction(1)
+    for k in range(1, n):
+        det *= (1 - q ** (k * (k + 1))) ** ((n - k) * factorial(n) // (k * (k + 1)))
+    return det
+
+
+@pytest.mark.parametrize("q", [HALF, Fraction(-1, 3), Fraction(2, 3)])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_exact_determinant_matches_zagier_product(n, q):
+    entries = gram_matrix(tuple(range(1, n + 1)), quon(q)).entries
+    assert exact_determinant(entries) == _zagier_determinant(n, q)
 
 
 def test_exact_determinant_shape_checks():

@@ -198,17 +198,12 @@ def run_count(args) -> tuple[list[str], list[tuple], int]:
     failures = 0
 
     def emit(m, n, extras, value, formula, rule=None, alg=None, has_oracle=True,
-             canonical=False):
-        # canonical: the closed form counts sorted states, not the Fock
-        # dimension, so the oracle lists the allowed canonical states
+             count=count_enumerated):
         nonlocal failures
         row = [family, m, n, *extras, value, formula]
         if oracle:
             if has_oracle:
-                if canonical:
-                    check = len(enumerate_allowed(m, n, rule, cap=cap))
-                else:
-                    check = count_enumerated(m, n, rule, alg, cap=cap)
+                check = count(m, n, rule, alg, cap=cap)
                 agrees = check == value
                 if not agrees:
                     failures += 1
@@ -273,7 +268,9 @@ def run_count(args) -> tuple[list[str], list[tuple], int]:
         header += ["p", "value", "formula"]
         for m, n, p in product(args.M, args.N, args.p):
             emit(m, n, (p,), count_window_min(m, n, p), "min-window-binomial",
-                 WindowRule(p, "min"), canonical=True)
+                 WindowRule(p, "min"),
+                 count=lambda m, n, rule, alg, cap: len(
+                     enumerate_allowed(m, n, rule, cap=cap)))
     else:
         raise ValueError(f"unknown count family {family!r}")
 

@@ -17,7 +17,6 @@ fraction-free Bareiss elimination, which is exact.
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
 from math import factorial, lcm, prod
 from numbers import Rational
 from typing import Iterable, Sequence
@@ -34,15 +33,22 @@ RANK_PRIME = (1 << 61) - 1
 
 
 def _scaled_to_integers(rows: Sequence[Sequence[Rational]]) -> tuple[list[list[int]], int]:
-    """Clear denominators; returns the integer matrix and the common scale."""
-    scale = 1
-    for row in rows:
-        for x in row:
-            if scale % x.denominator:
-                scale = lcm(scale, x.denominator)
-    if scale == 1:
-        return [[x.numerator for x in row] for row in rows], 1
-    return [[x.numerator * (scale // x.denominator) for x in row] for row in rows], scale
+    """Clear denominators; returns the integer matrix and the common scale.
+
+    Entries without numerator and denominator (floats, Decimals, anything
+    else Fraction() accepts) are converted to Fraction once.
+    """
+    try:
+        scale = 1
+        for row in rows:
+            for x in row:
+                if scale % x.denominator:
+                    scale = lcm(scale, x.denominator)
+        if scale == 1:
+            return [[x.numerator for x in row] for row in rows], 1
+        return [[x.numerator * (scale // x.denominator) for x in row] for row in rows], scale
+    except AttributeError:
+        return _scaled_to_integers([[Fraction(x) for x in row] for row in rows])
 
 
 def _without_zero_lines(m: list[list[int]]) -> list[list[int]]:
@@ -174,10 +180,6 @@ def permutation_orbit(indices: Iterable[int]) -> tuple[MonomialState, ...]:
             f"the orbit of {tuple(word)} has {size} words, more than the "
             f"{MAX_ORBIT_WORDS} a Gram matrix is built for"
         )
-    if len(multiplicities) == len(word):
-        # distinct letters: permutations of a sorted word are already
-        # distinct and in lexicographic order
-        return tuple(permutations(word))
     orbit = []
     while True:
         orbit.append(tuple(word))

@@ -3,8 +3,9 @@ integer kernel (modular certificate, then fraction-free elimination) are
 cross-checked against a plain Fraction Gaussian eliminator, determinants
 against the permutation-sum formula and Zagier's product formula."""
 
+from decimal import Decimal
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, permutations
 from math import factorial
 
 import pytest
@@ -48,6 +49,13 @@ def test_permutation_orbit_with_repeats():
     assert orbit == ((1, 1, 2), (1, 2, 1), (2, 1, 1))
 
 
+@pytest.mark.parametrize(
+    "word", [(3, 1, 2), (1, 2, 3, 4), (1, 1, 2), (2, 1, 2, 1), (1, 1, 1), (3, 1, 3, 2, 1)]
+)
+def test_permutation_orbit_matches_distinct_permutations(word):
+    assert permutation_orbit(word) == tuple(sorted(set(permutations(word))))
+
+
 def test_permutation_orbit_empty_rejected():
     with pytest.raises(ValueError):
         permutation_orbit(())
@@ -69,6 +77,15 @@ def test_rational_rank_simple_cases():
     assert rational_rank([[Fraction(0), Fraction(0)]]) == 0
     assert rational_rank([[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]]) == 1
     assert rational_rank([[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]]) == 2
+
+
+def test_kernel_accepts_any_fraction_input():
+    # ints, floats and Decimals are converted as Fraction() would convert them
+    assert rational_rank([[1, 2], [2, 4]]) == 1
+    assert rational_rank([[0.5, 1.0], [1.0, 2.0]]) == 1
+    assert rational_rank([[Decimal("0.1"), 1], [1, Decimal("0.3")]]) == 2
+    assert exact_determinant([[0.5, 0.25], [1, 3]]) == Fraction(5, 4)
+    assert exact_determinant([[Decimal("0.1"), 1], [1, Decimal("0.3")]]) == Fraction(-97, 100)
 
 
 @given(

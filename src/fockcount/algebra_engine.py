@@ -6,6 +6,13 @@ matching creator. Inner products follow by recursive annihilation: the
 sign/phase convention is fixed by this left-to-right order, so individual
 values are convention-dependent while norms, Gram ranks and dimensions are
 not.
+
+The recursion is q-free. `_contract` returns the inversion-number histogram
+of the letter-preserving bijections between the two words (Bozejko and
+Speicher 1991, Zagier 1992): <bra|ket> = sum_k c_k q**k, where c_k counts
+the bijections with k inversions. One cache therefore serves Bose (q = 1),
+Fermi (q = -1) and every quon parameter, and since only letter equality
+matters, the words are renamed by first appearance before the lookup.
 """
 
 from dataclasses import dataclass
@@ -86,20 +93,60 @@ def apply_annihilator_to_combination(
 
 
 @lru_cache(maxsize=1 << 18)
-def _contract(bra: MonomialState, ket: MonomialState, q: Fraction) -> Fraction:
+def _contract(bra: MonomialState, ket: MonomialState) -> tuple[int, ...]:
+    """Inversion-number histogram of the letter-preserving bijections.
+
+    Entry k counts the bijections pi with bra[i] == ket[pi(i)] and k
+    inversions, so <bra|ket> = sum_k c_k q**k for every algebra. The
+    annihilator for bra[0] passes pos creators to reach ket[pos]: the pos
+    inversions (0, j) of a pi with pi(0) = pos. No trailing zero is kept:
+    equal polynomials are equal tuples, and () means orthogonal words.
+    """
     # Gram matrices evaluate the same sub-contractions many times over an
     # orbit of permuted words; caching turns the factorial tree into a walk
     # over distinct (sub-bra, sub-ket) pairs.
     if not bra:
-        return Fraction(1)
+        return (1,)
     mode = bra[0]
-    total = Fraction(0)
-    coeff = Fraction(1)
+    rest = bra[1:]
+    total: list[int] = []
     for pos, idx in enumerate(ket):
-        if idx == mode and coeff:
-            total += coeff * _contract(bra[1:], ket[:pos] + ket[pos + 1 :], q)
-        coeff = coeff * q
-    return total
+        if idx == mode:
+            sub = _contract(rest, ket[:pos] + ket[pos + 1 :])
+            if sub:
+                total.extend([0] * (pos + len(sub) - len(total)))
+                for k, c in enumerate(sub, pos):
+                    total[k] += c
+    return tuple(total)
+
+
+def letter_names(bra: MonomialState) -> dict[int, int]:
+    """Letters of a word renamed 0, 1, ... in order of first appearance.
+
+    A contraction only compares letters for equality, so renaming both
+    words by one bijection keeps every histogram; relabelled and
+    same-pattern pairs then share one `_contract` entry.
+    """
+    names: dict[int, int] = {}
+    for letter in bra:
+        names.setdefault(letter, len(names))
+    return names
+
+
+def scaled_polynomial(hist: tuple[int, ...], q: Fraction, degree: int) -> int:
+    """sum_k c_k q**k times den(q)**degree, an integer for degree >= len(hist) - 1."""
+    num, den = q.numerator, q.denominator
+    acc, power = 0, den ** (degree + 1 - len(hist))
+    for c in reversed(hist):
+        acc = acc * num + c * power
+        power *= den
+    return acc
+
+
+def evaluate(hist: tuple[int, ...], q: Fraction) -> Fraction:
+    """The exact value sum_k c_k q**k of an inversion histogram."""
+    degree = max(len(hist) - 1, 0)
+    return Fraction(scaled_polynomial(hist, q, degree), q.denominator**degree)
 
 
 def inner_product(bra: MonomialState, ket: MonomialState, alg: AlgebraSpec) -> Fraction:
@@ -110,6 +157,8 @@ def inner_product(bra: MonomialState, ket: MonomialState, alg: AlgebraSpec) -> F
     its determinant up to the convention sign, and for quons on distinct
     indices q raised to the inversion number of the relating permutation.
     """
-    if len(bra) != len(ket):
+    if sorted(bra) != sorted(ket):
         return Fraction(0)
-    return _contract(tuple(bra), tuple(ket), alg.q)
+    names = letter_names(bra)
+    hist = _contract(tuple([names[x] for x in bra]), tuple([names[x] for x in ket]))
+    return evaluate(hist, alg.q)

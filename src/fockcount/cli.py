@@ -463,7 +463,7 @@ def _verify_cs_equal_pq():
 def _verify_cs_integer_gap():
     for m, n, p in product(range(1, 9), range(1, 5), range(4)):
         a = count_cs(m, n, p, 1)
-        b = binom(m + (1 - p) * (n - 1), n)
+        b = count_window_min(m, n, p)
         yield (f"M={m} N={n} p={p}", a == b, f"sum={a} binomial={b}")
 
 

@@ -229,11 +229,12 @@ def count_para_restricted(n_sites: int, n_particles: int, p: int, kind: str) -> 
 def count_window_min(n_sites: int, n_particles: int, p: int) -> int:
     """Canonical (sorted) states whose neighbouring sites lie at least p
     apart: C(M + (1-p)(N-1), N), since removing the p - 1 sites each gap
-    must leave empty maps them onto N-subsets of the shortened lattice."""
+    must leave empty maps them onto N-subsets of the shortened lattice.
+    At p = 0 every multiset qualifies: C(M + N - 1, N)."""
     if n_sites < 1 or n_particles < 0:
         raise ValueError("need M >= 1 and N >= 0")
-    if p < 1:
-        raise ValueError(f"window width must be >= 1, got {p}")
+    if p < 0:
+        raise ValueError(f"window width must be >= 0, got {p}")
     return binom(n_sites + (1 - p) * (n_particles - 1), n_particles)
 
 

@@ -6,6 +6,17 @@ rationals is the number of independent states the multiset contributes;
 summing single-site extensions gives the one-particle dimension, and
 differences of those give the extended exclusion-statistics parameter.
 
+Gram work is keyed by shape. A multiset is renamed order-preservingly to
+the letters 0..k-1, which keeps the lexicographic order of its orbit, so
+one q-free structure per canonical word serves every labelling, algebra
+and rule: the orbit, the inversion histogram class of each entry (upper
+triangle contracted, lower mirrored) and the distinct histograms. A Gram
+matrix evaluates one value per distinct histogram and relabels the words;
+a rule zeroes the rows and columns of the words it kills. Ranks read
+integers scaled by den(q)^(N(N-1)/2) from the live submatrix and are
+cached per (canonical word, q, live-word mask), so relabelled sectors and
+the repeated sectors of one-particle dimensions are ranked once.
+
 Ranks and determinants share one exact kernel over the integers. The
 matrix is scaled to integers by the common denominator of its entries. A
 rank is first taken modulo the prime 2^61 - 1: for an integer matrix
@@ -16,13 +27,14 @@ fraction-free Bareiss elimination, which is exact.
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 from fractions import Fraction
 from math import factorial, lcm, prod
 from numbers import Rational
 from typing import Iterable, Sequence
 
 from .core import AlgebraSpec, ModeLattice, MonomialState
-from .algebra_engine import inner_product
+from .algebra_engine import _contract, evaluate, letter_names, scaled_polynomial
 from .restrictions import CapacityExceededError, RestrictionRule, is_allowed
 
 # Largest permutation orbit a Gram matrix is built for: 6! = 720 words.
@@ -196,6 +208,53 @@ def permutation_orbit(indices: Iterable[int]) -> tuple[MonomialState, ...]:
         word[i + 1:] = reversed(word[i + 1:])
 
 
+def _canonical(indices: Iterable[int]) -> tuple[MonomialState, tuple[int, ...]]:
+    """The sorted multiset with its letters renamed 0..k-1 in order, and the
+    sorted distinct letters (letters[i] is the label renamed i).
+
+    The renaming keeps the order of letters, hence the lexicographic order
+    of the orbit: the canonical orbit's word i relabels to the real one."""
+    word = sorted(indices)
+    letters = tuple(sorted(set(word)))
+    position = {letter: i for i, letter in enumerate(letters)}
+    return tuple([position[x] for x in word]), letters
+
+
+def _relabelled(orbit: Sequence[MonomialState], letters: tuple[int, ...]) -> list[MonomialState]:
+    """The words with letter i renamed letters[i]."""
+    # Tuples are built from lists: tuple() of an iterator of unknown length
+    # over-allocates and shrinks, which parks up to 2000 blocks per word
+    # length on CPython's tuple free lists.
+    return [tuple([letters[x] for x in w]) for w in orbit]
+
+
+@lru_cache(maxsize=32)
+def _shape_gram(
+    word: MonomialState,
+) -> tuple[tuple[MonomialState, ...], tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
+    """q-free Gram structure of one canonical multiset: its orbit, the
+    histogram index of every entry and the distinct histograms.
+
+    Only the upper triangle is contracted (<u|v> and <v|u> share one
+    histogram, since a bijection and its inverse have equal inversion
+    numbers); the lower one is mirrored.
+    """
+    orbit = permutation_orbit(word)
+    n = len(orbit)
+    index: dict[tuple[int, ...], int] = {}
+    classes = [[0] * n for _ in range(n)]
+    for i, bra in enumerate(orbit):
+        names = letter_names(bra)
+        row = classes[i]
+        renamed = tuple([names[x] for x in bra])
+        for j in range(i, n):
+            hist = _contract(renamed, tuple([names[x] for x in orbit[j]]))
+            c = index.setdefault(hist, len(index))
+            row[j] = c
+            classes[j][i] = c
+    return orbit, tuple(map(tuple, classes)), tuple(index)
+
+
 def gram_matrix(
     indices: Iterable[int],
     alg: AlgebraSpec,
@@ -203,18 +262,32 @@ def gram_matrix(
 ) -> GramMatrix:
     """Gram matrix of the multiset's orderings; words failing the rule are
     projected out, i.e. their rows and columns are zeroed."""
-    states = permutation_orbit(indices)
+    word, letters = _canonical(indices)
+    orbit, classes, hists = _shape_gram(word)
+    states = tuple(_relabelled(orbit, letters))
+    values = [evaluate(h, alg.q) for h in hists]
     alive = [is_allowed(s, rule) for s in states]
     zero = Fraction(0)
-    rows = []
-    for i, si in enumerate(states):
-        row = [zero] * len(states)
-        if alive[i]:
-            for j, sj in enumerate(states):
-                if alive[j]:
-                    row[j] = inner_product(si, sj, alg)
-        rows.append(tuple(row))
-    return GramMatrix(states=states, entries=tuple(rows))
+    dead = (zero,) * len(states)
+    entries = tuple([
+        tuple([values[c] if alive[j] else zero for j, c in enumerate(row)]) if alive[i] else dead
+        for i, row in enumerate(classes)
+    ])
+    return GramMatrix(states=states, entries=entries)
+
+
+@lru_cache(maxsize=4096)
+def _sector_rank(word: MonomialState, q: Fraction, live_mask: int) -> int:
+    """Rank of the canonical multiset's Gram matrix restricted to the words
+    whose bits are set in live_mask. Entries are scaled by
+    den(q)**(N(N-1)/2), the largest inversion number, so they are integers."""
+    if not live_mask:
+        return 0
+    _, classes, hists = _shape_gram(word)
+    degree = len(word) * (len(word) - 1) // 2
+    values = [scaled_polynomial(h, q, degree) for h in hists]
+    live = [i for i in range(len(classes)) if live_mask >> i & 1]
+    return rational_rank([[values[classes[i][j]] for j in live] for i in live])
 
 
 def sector_dimension(
@@ -223,7 +296,14 @@ def sector_dimension(
     rule: RestrictionRule | None = None,
 ) -> int:
     """Number of independent states the multiset carries: the Gram rank."""
-    return gram_matrix(indices, alg, rule).rank()
+    word, letters = _canonical(indices)
+    orbit = _shape_gram(word)[0]
+    if rule is None:
+        live_mask = (1 << len(orbit)) - 1
+    else:
+        states = _relabelled(orbit, letters)
+        live_mask = sum(1 << i for i, s in enumerate(states) if rule.allows(s))
+    return _sector_rank(word, alg.q, live_mask)
 
 
 def one_particle_dimension(

@@ -2,7 +2,8 @@
 
 Everything here is written from first principles with a different
 algorithm than the implementation under test: inner products via
-explicit permutation sums (permanent / determinant / inversion count),
+explicit permutation sums (permanent / determinant / inversion count /
+sums of q**inv over letter-preserving permutations),
 ranks via plain Gaussian elimination over Fraction, and counting via
 filtering the full candidate set. Slow on purpose; keep the grids small.
 """
@@ -57,6 +58,18 @@ def quon_overlap_distinct(bra, ket, q):
     positions = {letter: i for i, letter in enumerate(bra)}
     sigma = tuple(positions[letter] for letter in ket)
     return q ** inversions(sigma)
+
+
+def quon_overlap_bruteforce(bra, ket, q):
+    """<bra|ket> for any two words: the sum of q**inv(pi) over every
+    permutation pi of positions with bra[i] == ket[pi(i)]. No memo."""
+    if len(bra) != len(ket):
+        return 0 * q
+    total = 0 * q
+    for pi in permutations(range(len(ket))):
+        if all(b == ket[j] for b, j in zip(bra, pi)):
+            total += q ** inversions(pi)
+    return total
 
 
 def gauss_rank(matrix):

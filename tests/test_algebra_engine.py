@@ -3,6 +3,7 @@ explicit permutation-sum oracles (permanent, determinant, inversion count)."""
 
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations, product
+from math import factorial
 
 import pytest
 from hypothesis import given
@@ -224,3 +225,18 @@ def test_annihilator_terms_have_one_fewer_particle(word, mode):
         combo = apply_annihilator(mode, word, alg)
         for state in combo.as_dict():
             assert len(state) == len(word) - 1
+
+
+def _q_factorial(m, q):
+    value = Fraction(1)
+    for k in range(1, m + 1):
+        value *= sum(q**i for i in range(k))
+    return value
+
+
+@pytest.mark.parametrize("q", [HALF, Fraction(-1, 3)])
+def test_repeated_letter_norm_is_q_factorial(q):
+    # <1^m|1^m> sums q^inv over all m! permutations: the q-factorial [m]_q!
+    for m in range(1, 11):
+        assert inner_product((1,) * m, (1,) * m, quon(q)) == _q_factorial(m, q)
+    assert inner_product((4,) * 10, (4,) * 10, bose()) == factorial(10)

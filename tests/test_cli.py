@@ -274,3 +274,13 @@ def test_gram_orbit_capacity_refused_at_once():
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert "40320 words" in proc.stderr
+
+
+def test_gram_one_letter_sector_of_ten_particles(capsys):
+    code, out, err = run_cli(
+        ["gram", "--multiset", "1,1,1,1,1,1,1,1,1,1", "--alg", "bose"], capsys
+    )
+    assert code == 0
+    header, rows = parse_csv(out)
+    assert header == ["multiset", "algebra", "dimension", "rank"]
+    assert rows[0][2:] == ["1", "1"]

@@ -2,6 +2,7 @@
 floor-sum and binomial identities."""
 
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
 from hypothesis import given
@@ -199,7 +200,14 @@ def test_count_window_min_validation():
     with pytest.raises(ValueError):
         count_window_min(0, 2, 1)
     with pytest.raises(ValueError):
-        count_window_min(5, 2, 0)
+        count_window_min(5, 2, -1)
+
+
+def test_count_window_min_at_zero_width_counts_multisets():
+    for m in range(1, 9):
+        for n in range(0, 5):
+            expected = len(list(combinations_with_replacement(range(m), n)))
+            assert count_window_min(m, n, 0) == expected
 
 
 def test_count_gentile_frozen_and_limits():

@@ -1,8 +1,11 @@
-"""Gram matrices, exact ranks and dimension differences. Ranks from the
-integer kernel (modular certificate, then fraction-free elimination) are
-cross-checked against a plain Fraction Gaussian eliminator, determinants
-against the permutation-sum formula and Zagier's product formula."""
+"""Gram matrices, exact ranks and dimension differences. Entries of the
+shape-keyed build are cross-checked against a brute-force sum over
+permutations, ranks from the integer kernel (modular certificate, then
+fraction-free elimination) against a plain Fraction Gaussian eliminator,
+determinants against the permutation-sum formula and Zagier's product
+formula."""
 
+import time
 from decimal import Decimal
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations
@@ -12,10 +15,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from fockcount.algebra_engine import _contract
 from fockcount.core import bose, build_lattice, fermi, quon
+from fockcount.counting import count_enumerated
 from fockcount.gram import (
     MAX_ORBIT_WORDS,
     RANK_PRIME,
+    _sector_rank,
+    _shape_gram,
     exact_determinant,
     extended_g,
     gram_matrix,
@@ -32,7 +39,7 @@ from fockcount.restrictions import (
     WindowRule,
 )
 
-from oracles import determinant_bruteforce, gauss_rank
+from oracles import determinant_bruteforce, gauss_rank, quon_overlap_bruteforce
 
 HALF = Fraction(1, 2)
 
@@ -314,3 +321,88 @@ def test_extended_g_total_cap_rule():
     after = one_particle_dimension((1, 2), lat, fermi(), TotalCapRule(2))
     assert before == 5 and after == 0
     assert extended_g((1,), (2,), lat, fermi(), TotalCapRule(2)) == 5
+
+
+# Every multiset shape with at most four particles, on the letters 1..k.
+SMALL_SHAPES = tuple(
+    tuple(x + 1 for x in w)
+    for n in range(1, 5)
+    for w in combinations_with_replacement(range(n), n)
+    if set(w) == set(range(w[-1] + 1))
+)
+ENTRY_ALGEBRAS = (
+    bose(), fermi(), quon(0), quon(HALF), quon(Fraction(-1, 3)), quon(Fraction(-3, 5))
+)
+ENTRY_RULES = (None, CSRule(1, 2), CSRule(0, 1), WindowRule(2, "min"), WindowRule(1, "max"))
+
+
+def _bruteforce_gram(states, q):
+    return [[quon_overlap_bruteforce(u, v, q) for v in states] for u in states]
+
+
+@pytest.mark.parametrize("alg", ENTRY_ALGEBRAS, ids=lambda a: f"{a.kind}:{a.q}")
+def test_gram_entries_match_bruteforce_on_every_small_shape(alg):
+    assert len(SMALL_SHAPES) == 15
+    for ms in SMALL_SHAPES:
+        states = tuple(sorted(set(permutations(ms))))
+        expected = _bruteforce_gram(states, alg.q)
+        for rule in ENTRY_RULES:
+            gm = gram_matrix(ms, alg, rule)
+            assert gm.states == states
+            alive = [rule is None or rule.allows(s) for s in states]
+            for i, row in enumerate(gm.entries):
+                for j, value in enumerate(row):
+                    assert value == (expected[i][j] if alive[i] and alive[j] else 0)
+
+
+@pytest.mark.parametrize("alg", ENTRY_ALGEBRAS, ids=lambda a: f"{a.kind}:{a.q}")
+def test_gram_entries_are_label_invariant(alg):
+    labels = (3, 8, 20, 21)
+    for ms in ((1, 2, 3, 4), (1, 1, 2, 3), (1, 2, 2, 3), (1, 1, 2, 2)):
+        relabelled = tuple(labels[x - 1] for x in ms)
+        gm = gram_matrix(relabelled, alg)
+        assert gm.states == tuple(sorted(set(permutations(relabelled))))
+        assert [list(row) for row in gm.entries] == _bruteforce_gram(gm.states, alg.q)
+        assert gm.entries == gram_matrix(ms, alg).entries
+
+
+def test_one_letter_sector_has_no_factorial_walk():
+    _contract.cache_clear()
+    _shape_gram.cache_clear()
+    _sector_rank.cache_clear()
+    start = time.perf_counter()
+    assert sector_dimension((1,) * 10, bose()) == 1
+    assert time.perf_counter() - start < 0.5
+    assert gram_matrix((7,) * 10, bose()).entries == ((Fraction(factorial(10)),),)
+
+
+def test_same_shape_keeps_its_own_rank_per_rule_and_q():
+    q = quon(HALF)
+    assert sector_dimension((1, 2, 3), q) == 6
+    assert sector_dimension((1, 2, 3), q, CSRule(1, 1)) == 1
+    assert sector_dimension((1, 2, 3), q, WindowRule(1, "max")) == 2
+    assert sector_dimension((4, 5, 6), q, CSRule(1, 1)) == 1
+    assert sector_dimension((1, 1, 2), quon(0)) == 3
+    assert sector_dimension((1, 1, 2), bose()) == 1
+    assert sector_dimension((1, 1, 2), fermi()) == 0
+    assert sector_dimension((1, 1), quon(HALF)) == 1
+    assert sector_dimension((1, 1), fermi()) == 0
+
+
+def test_sector_dimension_matches_gaussian_rank_over_a_sweep():
+    rules = (CSRule(1, 2), WindowRule(2, "min"), GentileRule(1))
+    algebras = (bose(), fermi(), quon(HALF), quon(Fraction(-1, 3)))
+    for rule in rules:
+        for alg in algebras:
+            for n in (1, 2, 3):
+                total = 0
+                for ms in combinations_with_replacement(range(1, 6), n):
+                    rank = gauss_rank(gram_matrix(ms, alg, rule).entries)
+                    assert sector_dimension(ms, alg, rule) == rank
+                    total += rank
+                assert count_enumerated(5, n, rule, alg) == total
+
+
+def test_every_gram_cache_is_bounded():
+    for cache in (_contract, _shape_gram, _sector_rank):
+        assert cache.cache_info().maxsize is not None

@@ -13,6 +13,8 @@ Speicher 1991, Zagier 1992): <bra|ket> = sum_k c_k q**k, where c_k counts
 the bijections with k inversions. One cache therefore serves Bose (q = 1),
 Fermi (q = -1) and every quon parameter, and since only letter equality
 matters, the words are renamed by first appearance before the lookup.
+Histograms have N(N-1)/2 + 1 coefficients, so words are limited to
+MAX_WORD_LETTERS letters.
 """
 
 from dataclasses import dataclass
@@ -20,6 +22,23 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .core import AlgebraSpec, ModeLattice, MonomialState
+from .restrictions import CapacityExceededError
+
+# Longest word contracted. A histogram has N(N-1)/2 + 1 coefficients and the
+# cache holds one per distinct sub-contraction, so memory grows with N**2
+# times the key count: at 12 letters the worst orbit within the 720-word
+# Gram guard, (1^9, 2, 2, 3), takes about 370 MB, and (1^49, 2) would take
+# about 520 MB.
+MAX_WORD_LETTERS = 12
+
+
+def check_word_length(word: MonomialState) -> None:
+    """Refuse words longer than MAX_WORD_LETTERS before contracting them."""
+    if len(word) > MAX_WORD_LETTERS:
+        raise CapacityExceededError(
+            f"{tuple(word)} has {len(word)} letters, more than the "
+            f"{MAX_WORD_LETTERS} a contraction is built for"
+        )
 
 
 @dataclass(frozen=True)
@@ -117,7 +136,15 @@ def _contract(bra: MonomialState, ket: MonomialState) -> tuple[int, ...]:
                 total.extend([0] * (pos + len(sub) - len(total)))
                 for k, c in enumerate(sub, pos):
                     total[k] += c
-    return tuple(total)
+    return _interned(tuple(total))
+
+
+@lru_cache(maxsize=1 << 16)
+def _interned(hist: tuple[int, ...]) -> tuple[int, ...]:
+    """One shared copy of each histogram. Distinct sub-contractions often
+    have equal histograms (about seven keys per histogram on the sector
+    (1^7, 2, 2, 3)), and histograms are most of the cache's memory."""
+    return hist
 
 
 def letter_names(bra: MonomialState) -> dict[int, int]:
@@ -159,6 +186,7 @@ def inner_product(bra: MonomialState, ket: MonomialState, alg: AlgebraSpec) -> F
     """
     if sorted(bra) != sorted(ket):
         return Fraction(0)
+    check_word_length(bra)
     names = letter_names(bra)
     hist = _contract(tuple([names[x] for x in bra]), tuple([names[x] for x in ket]))
     return evaluate(hist, alg.q)

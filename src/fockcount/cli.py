@@ -37,7 +37,7 @@ from .counting import (
     count_x_fermi,
 )
 from .cs_model import Filling, energy, ground_energy, pseudomomenta
-from .gram import gram_matrix, sector_dimension
+from .gram import orbit_size, sector_dimension
 from .haldane_params import (
     compare_cs_finite,
     compare_gentile_average,
@@ -318,8 +318,7 @@ def run_gram(args) -> tuple[list[str], list[tuple], int]:
             for ms in combinations_with_replacement(range(1, m + 1), n)
         ]
     for ms in multisets:
-        gm = gram_matrix(ms, alg, rule)
-        rows.append((ms, args.alg, gm.dimension, gm.rank()))
+        rows.append((ms, args.alg, orbit_size(ms), sector_dimension(ms, alg, rule)))
     return header, rows, 0
 
 

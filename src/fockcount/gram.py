@@ -15,7 +15,9 @@ matrix evaluates one value per distinct histogram and relabels the words;
 a rule zeroes the rows and columns of the words it kills. Ranks read
 integers scaled by den(q)^(N(N-1)/2) from the live submatrix and are
 cached per (canonical word, q, live-word mask), so relabelled sectors and
-the repeated sectors of one-particle dimensions are ranked once.
+the repeated sectors of one-particle dimensions are ranked once; the
+live-word mask comes from the orbit alone, so a cached rank needs no Gram
+structure.
 
 Ranks and determinants share one exact kernel over the integers. The
 matrix is scaled to integers by the common denominator of its entries. A
@@ -34,7 +36,13 @@ from numbers import Rational
 from typing import Iterable, Sequence
 
 from .core import AlgebraSpec, ModeLattice, MonomialState
-from .algebra_engine import _contract, evaluate, letter_names, scaled_polynomial
+from .algebra_engine import (
+    _contract,
+    check_word_length,
+    evaluate,
+    letter_names,
+    scaled_polynomial,
+)
 from .restrictions import CapacityExceededError, RestrictionRule, is_allowed
 
 # Largest permutation orbit a Gram matrix is built for: 6! = 720 words.
@@ -177,6 +185,12 @@ class GramMatrix:
         return rational_rank(self.entries)
 
 
+def orbit_size(indices: Iterable[int]) -> int:
+    """Number of distinct orderings of an index multiset (a multinomial)."""
+    word = tuple(indices)
+    return factorial(len(word)) // prod(factorial(c) for c in Counter(word).values())
+
+
 def permutation_orbit(indices: Iterable[int]) -> tuple[MonomialState, ...]:
     """Distinct orderings of an index multiset, lexicographically sorted.
 
@@ -185,8 +199,7 @@ def permutation_orbit(indices: Iterable[int]) -> tuple[MonomialState, ...]:
     word = sorted(indices)
     if not word:
         raise ValueError("index multiset must be non-empty")
-    multiplicities = Counter(word).values()
-    size = factorial(len(word)) // prod(factorial(c) for c in multiplicities)
+    size = orbit_size(word)
     if size > MAX_ORBIT_WORDS:
         raise CapacityExceededError(
             f"the orbit of {tuple(word)} has {size} words, more than the "
@@ -213,8 +226,10 @@ def _canonical(indices: Iterable[int]) -> tuple[MonomialState, tuple[int, ...]]:
     sorted distinct letters (letters[i] is the label renamed i).
 
     The renaming keeps the order of letters, hence the lexicographic order
-    of the orbit: the canonical orbit's word i relabels to the real one."""
+    of the orbit: the canonical orbit's word i relabels to the real one.
+    Refuses multisets of more than MAX_WORD_LETTERS letters."""
     word = sorted(indices)
+    check_word_length(word)
     letters = tuple(sorted(set(word)))
     position = {letter: i for i, letter in enumerate(letters)}
     return tuple([position[x] for x in word]), letters
@@ -228,6 +243,14 @@ def _relabelled(orbit: Sequence[MonomialState], letters: tuple[int, ...]) -> lis
     return [tuple([letters[x] for x in w]) for w in orbit]
 
 
+@lru_cache(maxsize=64)
+def _canonical_orbit(word: MonomialState) -> tuple[MonomialState, ...]:
+    """The orbit of a canonical word, cached apart from the Gram structure:
+    a cached rank still needs the orbit for its live-word mask. The
+    benchmark's operations touch at most 15 shapes each."""
+    return permutation_orbit(word)
+
+
 @lru_cache(maxsize=32)
 def _shape_gram(
     word: MonomialState,
@@ -239,7 +262,7 @@ def _shape_gram(
     histogram, since a bijection and its inverse have equal inversion
     numbers); the lower one is mirrored.
     """
-    orbit = permutation_orbit(word)
+    orbit = _canonical_orbit(word)
     n = len(orbit)
     index: dict[tuple[int, ...], int] = {}
     classes = [[0] * n for _ in range(n)]
@@ -297,7 +320,7 @@ def sector_dimension(
 ) -> int:
     """Number of independent states the multiset carries: the Gram rank."""
     word, letters = _canonical(indices)
-    orbit = _shape_gram(word)[0]
+    orbit = _canonical_orbit(word)
     if rule is None:
         live_mask = (1 << len(orbit)) - 1
     else:

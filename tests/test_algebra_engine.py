@@ -11,17 +11,21 @@ from hypothesis import strategies as st
 
 from fockcount.core import bose, build_lattice, fermi, quon
 from fockcount.algebra_engine import (
+    MAX_WORD_LETTERS,
     LinearCombination,
     apply_annihilator,
     apply_annihilator_to_combination,
     inner_product,
 )
+from fockcount.gram import permutation_orbit
+from fockcount.restrictions import CapacityExceededError
 
 from oracles import (
     delta_matrix,
     determinant_bruteforce,
     inversions,
     permanent,
+    quon_overlap_bruteforce,
     quon_overlap_distinct,
 )
 
@@ -240,3 +244,19 @@ def test_repeated_letter_norm_is_q_factorial(q):
     for m in range(1, 11):
         assert inner_product((1,) * m, (1,) * m, quon(q)) == _q_factorial(m, q)
     assert inner_product((4,) * 10, (4,) * 10, bose()) == factorial(10)
+
+
+@pytest.mark.parametrize("word", [(1, 1, 1, 2, 2), (1, 1, 2, 2, 3)])
+def test_repeated_letter_overlaps_match_bruteforce(word):
+    q = Fraction(-3, 5)
+    orbit = permutation_orbit(word)
+    for bra in orbit:
+        for ket in orbit:
+            assert inner_product(bra, ket, quon(q)) == quon_overlap_bruteforce(bra, ket, q)
+
+
+def test_inner_product_refuses_words_past_the_letter_bound():
+    n = MAX_WORD_LETTERS
+    assert inner_product((1,) * n, (1,) * n, bose()) == factorial(n)
+    with pytest.raises(CapacityExceededError, match=f"{n + 1} letters"):
+        inner_product((1,) * (n + 1), (1,) * (n + 1), bose())

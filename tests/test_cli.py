@@ -17,6 +17,11 @@ from fockcount.cli import (
     parse_int_values,
     render,
 )
+from fockcount.core import quon
+from fockcount.gram import gram_matrix
+from fockcount.restrictions import CSRule
+
+from oracles import gauss_rank
 
 
 def run_cli(args, capsys):
@@ -274,6 +279,35 @@ def test_gram_orbit_capacity_refused_at_once():
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert "40320 words" in proc.stderr
+
+
+def test_gram_word_length_refused_at_once():
+    proc = subprocess.run(
+        [sys.executable, "-m", "fockcount", "gram", "--multiset", ",".join(["1"] * 13),
+         "--alg", "bose"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "13 letters" in proc.stderr
+
+
+def test_gram_sweep_reports_orbit_size_and_gram_rank(capsys):
+    code, out, err = run_cli(
+        ["gram", "--M", "4", "--N", "3", "--alg", "quon:1/2",
+         "--rule-family", "cs", "--p", "1", "--q", "2", "--format", "json"],
+        capsys,
+    )
+    assert code == 0
+    rule = CSRule(1, 2)
+    rows = json.loads(out)
+    assert len(rows) == 20
+    for row in rows:
+        gm = gram_matrix(row["multiset"], quon(Fraction(1, 2)), rule)
+        assert row["dimension"] == gm.dimension
+        assert row["rank"] == gauss_rank(gm.entries)
 
 
 def test_gram_one_letter_sector_of_ten_particles(capsys):

@@ -15,18 +15,20 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fockcount.algebra_engine import _contract
+from fockcount.algebra_engine import MAX_WORD_LETTERS, _contract, _interned
 from fockcount.core import bose, build_lattice, fermi, quon
 from fockcount.counting import count_enumerated
 from fockcount.gram import (
     MAX_ORBIT_WORDS,
     RANK_PRIME,
+    _canonical_orbit,
     _sector_rank,
     _shape_gram,
     exact_determinant,
     extended_g,
     gram_matrix,
     one_particle_dimension,
+    orbit_size,
     permutation_orbit,
     rational_rank,
     sector_dimension,
@@ -404,5 +406,30 @@ def test_sector_dimension_matches_gaussian_rank_over_a_sweep():
 
 
 def test_every_gram_cache_is_bounded():
-    for cache in (_contract, _shape_gram, _sector_rank):
+    for cache in (_contract, _interned, _canonical_orbit, _shape_gram, _sector_rank):
         assert cache.cache_info().maxsize is not None
+
+
+def test_orbit_size_is_the_multinomial():
+    for word in ((1,), (1, 1, 2), (3, 1, 2, 1), (1, 2, 2, 3, 3, 3)):
+        assert orbit_size(word) == len(set(permutations(word)))
+    assert orbit_size(range(1, 9)) == factorial(8)
+    assert orbit_size((5,) * 20 + (2,)) == 21
+
+
+def test_gram_refuses_multisets_past_the_letter_bound():
+    n = MAX_WORD_LETTERS
+    assert sector_dimension((1,) * n, quon(HALF)) == 1
+    for build in (sector_dimension, gram_matrix):
+        with pytest.raises(CapacityExceededError, match=f"{n + 1} letters"):
+            build((1,) * (n + 1), bose())
+
+
+def test_rank_cache_hit_builds_no_gram_structure():
+    rule = CSRule(1, 2)
+    rank = sector_dimension((2, 4, 6, 8), quon(HALF), rule)
+    _shape_gram.cache_clear()
+    hits = _sector_rank.cache_info().hits
+    assert sector_dimension((1, 3, 5, 7), quon(HALF), rule) == rank
+    assert _sector_rank.cache_info().hits == hits + 1
+    assert _shape_gram.cache_info().currsize == 0

@@ -13,8 +13,13 @@ Speicher 1991, Zagier 1992): <bra|ket> = sum_k c_k q**k, where c_k counts
 the bijections with k inversions. One cache therefore serves Bose (q = 1),
 Fermi (q = -1) and every quon parameter, and since only letter equality
 matters, the words are renamed by first appearance before the lookup.
-Histograms have N(N-1)/2 + 1 coefficients, so words are limited to
-MAX_WORD_LETTERS letters.
+
+A histogram is packed into one int (Kronecker substitution): coefficient k
+sits in bits [k*HIST_BITS, (k+1)*HIST_BITS), so appending a contraction
+shifted by pos inversions is `total += sub << (pos * HIST_BITS)`, and 0
+is the empty histogram of orthogonal words. `unpacked` lists the
+coefficients. A histogram has N(N-1)/2 + 1 coefficients, so words are
+limited to MAX_WORD_LETTERS letters.
 """
 
 from dataclasses import dataclass
@@ -27,9 +32,14 @@ from .restrictions import CapacityExceededError
 # Longest word contracted. A histogram has N(N-1)/2 + 1 coefficients and the
 # cache holds one per distinct sub-contraction, so memory grows with N**2
 # times the key count: at 12 letters the worst orbit within the 720-word
-# Gram guard, (1^9, 2, 2, 3), takes about 370 MB, and (1^49, 2) would take
-# about 520 MB.
+# Gram guard, (1^9, 2, 2, 3), takes about 190 MB.
 MAX_WORD_LETTERS = 12
+
+# Bits per packed histogram coefficient. A coefficient counts bijections of
+# at most MAX_WORD_LETTERS letters, and 12! < 2**29, so no sum carries into
+# the next coefficient.
+HIST_BITS = 32
+HIST_MASK = (1 << HIST_BITS) - 1
 
 
 def check_word_length(word: MonomialState) -> None:
@@ -112,39 +122,46 @@ def apply_annihilator_to_combination(
 
 
 @lru_cache(maxsize=1 << 18)
-def _contract(bra: MonomialState, ket: MonomialState) -> tuple[int, ...]:
-    """Inversion-number histogram of the letter-preserving bijections.
+def _contract(bra: MonomialState, ket: MonomialState) -> int:
+    """Packed inversion-number histogram of the letter-preserving bijections.
 
-    Entry k counts the bijections pi with bra[i] == ket[pi(i)] and k
-    inversions, so <bra|ket> = sum_k c_k q**k for every algebra. The
-    annihilator for bra[0] passes pos creators to reach ket[pos]: the pos
-    inversions (0, j) of a pi with pi(0) = pos. No trailing zero is kept:
-    equal polynomials are equal tuples, and () means orthogonal words.
+    Coefficient k, in bits [k*HIST_BITS, (k+1)*HIST_BITS), counts the
+    bijections pi with bra[i] == ket[pi(i)] and k inversions, so
+    <bra|ket> = sum_k c_k q**k for every algebra. The annihilator for
+    bra[0] passes pos creators to reach ket[pos]: the pos inversions (0, j)
+    of a pi with pi(0) = pos, i.e. a shift by pos coefficients. 0 means
+    orthogonal words.
     """
     # Gram matrices evaluate the same sub-contractions many times over an
     # orbit of permuted words; caching turns the factorial tree into a walk
     # over distinct (sub-bra, sub-ket) pairs.
     if not bra:
-        return (1,)
+        return 1
     mode = bra[0]
     rest = bra[1:]
-    total: list[int] = []
+    total = 0
     for pos, idx in enumerate(ket):
         if idx == mode:
-            sub = _contract(rest, ket[:pos] + ket[pos + 1 :])
-            if sub:
-                total.extend([0] * (pos + len(sub) - len(total)))
-                for k, c in enumerate(sub, pos):
-                    total[k] += c
-    return _interned(tuple(total))
+            total += _contract(rest, ket[:pos] + ket[pos + 1 :]) << (pos * HIST_BITS)
+    return _interned(total)
 
 
 @lru_cache(maxsize=1 << 16)
-def _interned(hist: tuple[int, ...]) -> tuple[int, ...]:
+def _interned(hist: int) -> int:
     """One shared copy of each histogram. Distinct sub-contractions often
     have equal histograms (about seven keys per histogram on the sector
     (1^7, 2, 2, 3)), and histograms are most of the cache's memory."""
     return hist
+
+
+def unpacked(hist: int) -> list[int]:
+    """The coefficients c_0, c_1, ... of a packed histogram, up to the last
+    nonzero one; [] for 0."""
+    coefficients = []
+    while hist:
+        coefficients.append(hist & HIST_MASK)
+        hist >>= HIST_BITS
+    return coefficients
 
 
 def letter_names(bra: MonomialState) -> dict[int, int]:
@@ -160,19 +177,21 @@ def letter_names(bra: MonomialState) -> dict[int, int]:
     return names
 
 
-def scaled_polynomial(hist: tuple[int, ...], q: Fraction, degree: int) -> int:
-    """sum_k c_k q**k times den(q)**degree, an integer for degree >= len(hist) - 1."""
+def scaled_polynomial(hist: int, q: Fraction, degree: int) -> int:
+    """sum_k c_k q**k times den(q)**degree, an integer when degree is at
+    least the histogram's top index."""
+    coefficients = unpacked(hist)
     num, den = q.numerator, q.denominator
-    acc, power = 0, den ** (degree + 1 - len(hist))
-    for c in reversed(hist):
+    acc, power = 0, den ** (degree + 1 - len(coefficients))
+    for c in reversed(coefficients):
         acc = acc * num + c * power
         power *= den
     return acc
 
 
-def evaluate(hist: tuple[int, ...], q: Fraction) -> Fraction:
-    """The exact value sum_k c_k q**k of an inversion histogram."""
-    degree = max(len(hist) - 1, 0)
+def evaluate(hist: int, q: Fraction) -> Fraction:
+    """The exact value sum_k c_k q**k of a packed inversion histogram."""
+    degree = max(hist.bit_length() - 1, 0) // HIST_BITS
     return Fraction(scaled_polynomial(hist, q, degree), q.denominator**degree)
 
 

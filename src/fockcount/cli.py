@@ -17,6 +17,7 @@ import json
 import sys
 from fractions import Fraction
 from itertools import product
+from typing import Iterable
 
 from .core import bose, fermi, quon
 from .counting import (
@@ -103,6 +104,19 @@ def format_cell(value) -> str:
     return str(value)
 
 
+# format_cell by exact type, for the cell types the commands emit; any
+# other type (a subclass included) goes through format_cell itself.
+_CELL_FORMATS = {
+    bool: lambda v: "true" if v else "false",
+    int: str,
+    Fraction: str,
+    tuple: lambda v: " ".join([str(x) for x in v]),
+    float: repr,
+    type(None): lambda v: "",
+    str: str,
+}
+
+
 def json_cell(value):
     if isinstance(value, Fraction):
         return {"num": value.numerator, "den": value.denominator}
@@ -118,8 +132,10 @@ def render(header: list[str], rows: list[tuple], fmt: str) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
+    formats = _CELL_FORMATS
+    # One row at a time: materialising every row first raises peak memory.
     for row in rows:
-        writer.writerow([format_cell(v) for v in row])
+        writer.writerow([formats.get(type(v), format_cell)(v) for v in row])
     return buf.getvalue()
 
 
@@ -627,79 +643,88 @@ def _grid_option(sub, flag, dest=None, fractions=False, floats=False, **kw):
     sub.add_argument(flag, dest=dest, type=kind, default=None, **kw)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _count_options(sub) -> None:
+    sub.add_argument("--family", choices=COUNT_FAMILIES, required=True)
+    for flag in ("--M", "--N", "--p", "--q", "--m"):
+        _grid_option(sub, flag)
+    _grid_option(sub, "--g", fractions=True)
+    _grid_option(sub, "--lambda", dest="lam", fractions=True)
+    _grid_option(sub, "--x-set", dest="x_set")
+    sub.add_argument("--oracle", action="store_true", default=None,
+                     help="compare each value against the enumerated count")
+
+
+def _enumerate_options(sub) -> None:
+    sub.add_argument("--family", choices=ENUM_FAMILIES, default="none")
+    for flag in ("--M", "--N", "--p", "--q", "--m"):
+        _grid_option(sub, flag)
+    _grid_option(sub, "--x-set", dest="x_set")
+
+
+def _gram_options(sub) -> None:
+    _grid_option(sub, "--multiset")
+    sub.add_argument("--alg", default="quon:0",
+                     help="bose, fermi or quon:Q (e.g. quon:1/2)")
+    sub.add_argument("--rule-family", choices=ENUM_FAMILIES, default=None)
+    for flag in ("--M", "--N", "--p", "--q", "--m"):
+        _grid_option(sub, flag)
+    _grid_option(sub, "--x-set", dest="x_set")
+
+
+def _params_options(sub) -> None:
+    sub.add_argument("--family", choices=PARAM_FAMILIES, required=True)
+    for flag in ("--M", "--N", "--p", "--q", "--i1", "--n", "--k", "--m",
+                 "--nlast", "--pattern"):
+        _grid_option(sub, flag)
+    sub.add_argument("--side", type=lambda s: s.split(","),
+                     default=["right"], help="left, right or left,right")
+    sub.add_argument("--oracle", action="store_true", default=None,
+                     help="compare against the definitional dimension count")
+
+
+def _spectrum_options(sub) -> None:
+    _grid_option(sub, "--N")
+    _grid_option(sub, "--lambda", dest="lam", fractions=True)
+    _grid_option(sub, "--L", floats=True)
+    _grid_option(sub, "--filling")
+    sub.add_argument("--anchor", choices=("symmetric", "literal"),
+                     default="symmetric")
+
+
+def _verify_options(sub) -> None:
+    sub.add_argument("--all", action="store_true", default=None)
+    sub.add_argument("--kind", action="append", default=None,
+                     help="run one named check (repeatable)")
+
+
+# command -> (help, options, runner), in the order `--help` lists them
+COMMANDS = {
+    "count": ("closed-form counting sweeps", _count_options, run_count),
+    "enumerate": ("list allowed canonical states", _enumerate_options, run_enumerate),
+    "gram": ("Gram dimensions and exact ranks", _gram_options, run_gram),
+    "params": ("exclusion-statistics parameters", _params_options, run_params),
+    "spectrum": ("ring-model pseudomomentum spectra", _spectrum_options, run_spectrum),
+    "verify": ("self-check identity suite", _verify_options, run_verify),
+}
+
+
+def build_parser(commands: Iterable[str] = COMMANDS) -> argparse.ArgumentParser:
+    """The argument parser with a subparser for each named command."""
     parser = argparse.ArgumentParser(
         prog="fockcount",
+        # names every command even when only one subparser is built
+        usage="%(prog)s [-h] {" + ",".join(COMMANDS) + "} ...",
         description="Exact state counting for restricted oscillator algebras.",
         epilog=EPILOG,
     )
-    subs = parser.add_subparsers(dest="command", required=True)
-
-    p_count = subs.add_parser("count", help="closed-form counting sweeps")
-    p_count.add_argument("--family", choices=COUNT_FAMILIES, required=True)
-    for flag in ("--M", "--N", "--p", "--q", "--m"):
-        _grid_option(p_count, flag)
-    _grid_option(p_count, "--g", fractions=True)
-    _grid_option(p_count, "--lambda", dest="lam", fractions=True)
-    _grid_option(p_count, "--x-set", dest="x_set")
-    p_count.add_argument("--oracle", action="store_true", default=None,
-                         help="compare each value against the enumerated count")
-    _add_common(p_count)
-
-    p_enum = subs.add_parser("enumerate", help="list allowed canonical states")
-    p_enum.add_argument("--family", choices=ENUM_FAMILIES, default="none")
-    for flag in ("--M", "--N", "--p", "--q", "--m"):
-        _grid_option(p_enum, flag)
-    _grid_option(p_enum, "--x-set", dest="x_set")
-    _add_common(p_enum)
-
-    p_gram = subs.add_parser("gram", help="Gram dimensions and exact ranks")
-    _grid_option(p_gram, "--multiset")
-    p_gram.add_argument("--alg", default="quon:0",
-                        help="bose, fermi or quon:Q (e.g. quon:1/2)")
-    p_gram.add_argument("--rule-family", choices=ENUM_FAMILIES, default=None)
-    for flag in ("--M", "--N", "--p", "--q", "--m"):
-        _grid_option(p_gram, flag)
-    _grid_option(p_gram, "--x-set", dest="x_set")
-    _add_common(p_gram)
-
-    p_params = subs.add_parser("params", help="exclusion-statistics parameters")
-    p_params.add_argument("--family", choices=PARAM_FAMILIES, required=True)
-    for flag in ("--M", "--N", "--p", "--q", "--i1", "--n", "--k", "--m",
-                 "--nlast", "--pattern"):
-        _grid_option(p_params, flag)
-    p_params.add_argument("--side", type=lambda s: s.split(","),
-                          default=["right"], help="left, right or left,right")
-    p_params.add_argument("--oracle", action="store_true", default=None,
-                          help="compare against the definitional dimension count")
-    _add_common(p_params)
-
-    p_spec = subs.add_parser("spectrum", help="ring-model pseudomomentum spectra")
-    _grid_option(p_spec, "--N")
-    _grid_option(p_spec, "--lambda", dest="lam", fractions=True)
-    _grid_option(p_spec, "--L", floats=True)
-    _grid_option(p_spec, "--filling")
-    p_spec.add_argument("--anchor", choices=("symmetric", "literal"),
-                        default="symmetric")
-    _add_common(p_spec)
-
-    p_verify = subs.add_parser("verify", help="self-check identity suite")
-    p_verify.add_argument("--all", action="store_true", default=None)
-    p_verify.add_argument("--kind", action="append", default=None,
-                          help="run one named check (repeatable)")
-    _add_common(p_verify)
-
+    subs = parser.add_subparsers(dest="command", required=True, prog="fockcount")
+    for name in commands:
+        help_text, add_options, _ = COMMANDS[name]
+        sub = subs.add_parser(name, help=help_text)
+        add_options(sub)
+        _add_common(sub)
     return parser
 
-
-RUNNERS = {
-    "count": run_count,
-    "enumerate": run_enumerate,
-    "gram": run_gram,
-    "params": run_params,
-    "spectrum": run_spectrum,
-    "verify": run_verify,
-}
 
 _CONFIG_DEFAULTS = {"format": "csv", "cap": DEFAULT_CANDIDATE_CAP}
 
@@ -740,11 +765,14 @@ def _apply_config(args) -> None:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # A known command needs only its own subparser; anything else (--help,
+    # a typo) gets the full parser and its listing or error.
+    named = argv[:1] if argv and argv[0] in COMMANDS else COMMANDS
+    args = build_parser(named).parse_args(argv)
     try:
         _apply_config(args)
-        header, rows, failures = RUNNERS[args.command](args)
+        header, rows, failures = COMMANDS[args.command][2](args)
     except CapacityExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -20,11 +20,16 @@ live-word mask comes from the orbit alone, so a cached rank needs no Gram
 structure.
 
 Ranks and determinants share one exact kernel over the integers. The
-matrix is scaled to integers by the common denominator of its entries. A
-rank is first taken modulo the prime 2^61 - 1: for an integer matrix
-rank_p <= rank_Q <= min(rows, cols), so a full modular rank certifies the
-rank over Q. A deficient modular rank, and every determinant, goes through
-fraction-free Bareiss elimination, which is exact.
+matrix is scaled to integers by the common denominator of its entries, and
+all-zero rows and columns are dropped. A symmetric matrix is then
+eliminated modulo the prime RANK_PRIME = 2^30 - 35 on its upper triangle,
+pivoting on the diagonal only. If every pivot is nonzero the rank mod p is
+n, and rank_p <= rank_Q <= n certifies rank n over Q. Gram matrices are
+symmetric, and for |q| < 1 positive definite (Bozejko and Speicher 1991,
+Zagier 1992), so over Q no diagonal pivot vanishes and this is the usual
+route. Any other matrix (a zero pivot mod p, a deficient rank, a
+non-symmetric input), and every determinant, goes through fraction-free
+Bareiss elimination, which is exact.
 """
 
 from collections import Counter
@@ -48,8 +53,9 @@ from .restrictions import CapacityExceededError, RestrictionRule, is_allowed
 # Largest permutation orbit a Gram matrix is built for: 6! = 720 words.
 MAX_ORBIT_WORDS = 720
 
-# The Mersenne prime 2^61 - 1, modulus of the certified rank.
-RANK_PRIME = (1 << 61) - 1
+# Modulus of the certified rank: a prime below 2^30, so every residue is one
+# 30-bit CPython digit and a product of two residues has at most two.
+RANK_PRIME = (1 << 30) - 35
 
 
 def _scaled_to_integers(rows: Sequence[Sequence[Rational]]) -> tuple[list[list[int]], int]:
@@ -82,29 +88,34 @@ def _without_zero_lines(m: list[list[int]]) -> list[list[int]]:
     return m
 
 
-def _rank_mod_prime(m: list[list[int]]) -> int:
-    """Rank of an integer matrix over the field of RANK_PRIME elements."""
+def _is_symmetric(m: list[list[int]]) -> bool:
+    """True for a square matrix exactly equal to its transpose."""
+    return len(m) == len(m[0]) and all(row == list(col) for row, col in zip(m, zip(*m)))
+
+
+def _diagonal_pivots_nonzero_mod_prime(m: list[list[int]]) -> bool:
+    """Eliminate a symmetric integer matrix modulo RANK_PRIME, pivoting on
+    the diagonal only; True when every pivot is nonzero.
+
+    Only the upper triangle is kept: upper[i] holds row i from column i on,
+    and step k subtracts m[k][i] / m[k][k] times row k from row i, which
+    keeps the remaining matrix symmetric. A row is reduced mod p when it
+    becomes the pivot row; until then each step adds less than p**2 to an
+    entry's magnitude.
+    """
     p = RANK_PRIME
-    rows = [[x % p for x in row] for row in m]
-    n_rows = len(rows)
-    rank = 0
-    for col in range(len(rows[0])):
-        piv = next((r for r in range(rank, n_rows) if rows[r][col]), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        top = rows[rank]
-        inverse = pow(top[col], -1, p)
-        tail = top[col + 1:]
-        for r in range(rank + 1, n_rows):
-            row = rows[r]
-            if row[col]:
-                f = row[col] * inverse % p
-                row[col + 1:] = [(a - f * b) % p for a, b in zip(row[col + 1:], tail)]
-        rank += 1
-        if rank == n_rows:
-            break
-    return rank
+    n = len(m)
+    upper = [row[i:] for i, row in enumerate(m)]
+    for k in range(n):
+        top = [x % p for x in upper[k]]
+        if not top[0]:
+            return False
+        inverse = pow(top[0], -1, p)
+        for i in range(1, n - k):
+            if top[i]:
+                f = top[i] * inverse % p
+                upper[k + i] = [a - f * b for a, b in zip(upper[k + i], top[i:])]
+    return True
 
 
 def _bareiss(m: list[list[int]]) -> tuple[int, int, int]:
@@ -144,15 +155,15 @@ def _bareiss(m: list[list[int]]) -> tuple[int, int, int]:
 def rational_rank(rows: Sequence[Sequence[Rational]]) -> int:
     """Exact rank over the rationals.
 
-    A full rank modulo RANK_PRIME is returned as certified; otherwise the
-    integer matrix is reduced by Bareiss elimination.
+    A symmetric matrix whose diagonal pivots are all nonzero modulo
+    RANK_PRIME has full rank, certified; any other matrix is reduced by
+    Bareiss elimination.
     """
     m = _without_zero_lines(_scaled_to_integers(rows)[0])
     if not m:
         return 0
-    full = min(len(m), len(m[0]))
-    if _rank_mod_prime(m) == full:
-        return full
+    if _is_symmetric(m) and _diagonal_pivots_nonzero_mod_prime(m):
+        return len(m)
     return _bareiss(m)[0]
 
 
@@ -254,9 +265,9 @@ def _canonical_orbit(word: MonomialState) -> tuple[MonomialState, ...]:
 @lru_cache(maxsize=32)
 def _shape_gram(
     word: MonomialState,
-) -> tuple[tuple[MonomialState, ...], tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
+) -> tuple[tuple[MonomialState, ...], tuple[tuple[int, ...], ...], tuple[int, ...]]:
     """q-free Gram structure of one canonical multiset: its orbit, the
-    histogram index of every entry and the distinct histograms.
+    histogram index of every entry and the distinct packed histograms.
 
     Only the upper triangle is contracted (<u|v> and <v|u> share one
     histogram, since a bijection and its inverse have equal inversion
@@ -264,7 +275,7 @@ def _shape_gram(
     """
     orbit = _canonical_orbit(word)
     n = len(orbit)
-    index: dict[tuple[int, ...], int] = {}
+    index: dict[int, int] = {}
     classes = [[0] * n for _ in range(n)]
     for i, bra in enumerate(orbit):
         names = letter_names(bra)

@@ -60,14 +60,16 @@ def theta_x_bose(gaps: Iterable[int]) -> Callable[[int, int], bool]:
 
 
 def theta_window(p: int, mode: str) -> Callable[[int, int], bool]:
-    """Two-sided pair test |k - j| >= p (min) or |k - j| <= p (max)."""
-    if p < 1:
-        raise ValueError(f"window width must be >= 1, got {p}")
+    """Two-sided pair test |k - j| >= p (min, p >= 0) or |k - j| <= p
+    (max, p >= 1). The min window of width 0 allows every pair."""
+    if mode not in ("min", "max"):
+        raise ValueError(f"window mode must be 'min' or 'max', got {mode!r}")
+    least = 0 if mode == "min" else 1
+    if p < least:
+        raise ValueError(f"window width must be >= {least}, got {p}")
     if mode == "min":
         return lambda j, k: abs(k - j) >= p
-    if mode == "max":
-        return lambda j, k: abs(k - j) <= p
-    raise ValueError(f"window mode must be 'min' or 'max', got {mode!r}")
+    return lambda j, k: abs(k - j) <= p
 
 
 class RestrictionRule:

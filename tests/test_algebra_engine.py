@@ -1,6 +1,7 @@
 """Annihilator action and the recursive inner product, checked against
 explicit permutation-sum oracles (permanent, determinant, inversion count)."""
 
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations, product
 from math import factorial
@@ -11,11 +12,14 @@ from hypothesis import strategies as st
 
 from fockcount.core import bose, build_lattice, fermi, quon
 from fockcount.algebra_engine import (
+    HIST_BITS,
     MAX_WORD_LETTERS,
     LinearCombination,
+    _contract,
     apply_annihilator,
     apply_annihilator_to_combination,
     inner_product,
+    unpacked,
 )
 from fockcount.gram import permutation_orbit
 from fockcount.restrictions import CapacityExceededError
@@ -260,3 +264,35 @@ def test_inner_product_refuses_words_past_the_letter_bound():
     assert inner_product((1,) * n, (1,) * n, bose()) == factorial(n)
     with pytest.raises(CapacityExceededError, match=f"{n + 1} letters"):
         inner_product((1,) * (n + 1), (1,) * (n + 1), bose())
+
+
+def test_histogram_coefficient_bits_hold_every_count():
+    # a coefficient counts bijections of at most MAX_WORD_LETTERS letters
+    assert 2**HIST_BITS > factorial(MAX_WORD_LETTERS)
+
+
+def _inversion_histogram(bra, ket):
+    """Bijections pi with bra[i] == ket[pi(i)], counted by inversion number."""
+    counts = Counter(
+        inversions(pi)
+        for pi in permutations(range(len(ket)))
+        if all(b == ket[j] for b, j in zip(bra, pi))
+    )
+    return [counts[k] for k in range(max(counts) + 1)] if counts else []
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_unpacked_contraction_is_the_inversion_histogram(n):
+    words = list(permutations(range(n)))
+    for bra in words[:: max(1, len(words) // 5)]:
+        for ket in words:
+            assert unpacked(_contract(bra, ket)) == _inversion_histogram(bra, ket)
+
+
+@pytest.mark.parametrize("word", [(0, 0, 1, 1, 2), (0, 0, 0, 1, 1), (0, 1, 1, 2)])
+def test_unpacked_contraction_with_repeated_letters(word):
+    orbit = permutation_orbit(word)
+    for bra in orbit:
+        for ket in orbit:
+            assert unpacked(_contract(bra, ket)) == _inversion_histogram(bra, ket)
+    assert _contract((0, 1), (0, 0)) == 0

@@ -11,6 +11,7 @@ from fractions import Fraction
 import pytest
 
 from fockcount.cli import (
+    COMMANDS,
     format_cell,
     main,
     parse_frac_values,
@@ -248,6 +249,58 @@ def test_window_min_oracle_counts_canonical_states(capsys):
     assert len(rows) == 64
     assert all(r[header.index("agrees")] == "true" for r in rows)
 
+
+
+def test_window_min_of_width_zero_has_an_oracle(capsys):
+    code, out, err = run_cli(
+        ["count", "--family", "window-min", "--M", "1..6", "--N", "1..3",
+         "--p", "0", "--oracle"],
+        capsys,
+    )
+    assert code == 0, err
+    header, rows = parse_csv(out)
+    assert len(rows) == 18
+    assert all(r[header.index("agrees")] == "true" for r in rows)
+
+
+def test_top_level_help_lists_every_command(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert len(COMMANDS) == 6
+    for name in COMMANDS:
+        assert name in out
+
+
+@pytest.mark.parametrize("name", list(COMMANDS))
+def test_each_command_help_exits_zero(name, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([name, "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith(f"usage: fockcount {name} [-h]")
+
+
+def test_unknown_command_exits_two(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["cuont", "--M", "3"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'cuont'" in capsys.readouterr().err
+
+
+def test_render_matches_format_cell_on_mixed_rows():
+    header = ["a", "b", "c", "d", "e", "f", "g"]
+    rows = [
+        (True, 3, Fraction(-2, 3), (1, 2, 2), 0.25, None, "x,y"),
+        (False, -7, Fraction(4, 2), (), 1e-20, "", 'say "hi"'),
+        (Fraction(5), 0, 2**70, (3,), float("inf"), "plain", None),
+    ]
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([format_cell(v) for v in row])
+    assert render(header, rows, "csv") == buf.getvalue()
 
 def test_module_entrypoint_runs():
     proc = subprocess.run(

@@ -21,6 +21,7 @@ from fockcount.counting import count_enumerated
 from fockcount.gram import (
     MAX_ORBIT_WORDS,
     RANK_PRIME,
+    _canonical,
     _canonical_orbit,
     _sector_rank,
     _shape_gram,
@@ -139,6 +140,43 @@ def test_rank_singular_mod_prime_falls_back_to_exact():
     scaled = [[x / 3 for x in row] for row in m]
     assert rational_rank(scaled) == 2
     assert exact_determinant(scaled) == p / 9
+
+
+def test_symmetric_full_rank_with_a_zero_pivot_falls_back_to_exact():
+    # symmetric and of full rank, but the first diagonal pivot is 0
+    assert rational_rank([[0, 1], [1, 0]]) == 2
+    assert rational_rank([[0, 1, 2], [1, 0, 3], [2, 3, 0]]) == 3
+    # not symmetric: never certified by the diagonal elimination, whose
+    # pivots 1 and 2 - 2 * 2 would claim full rank here
+    assert rational_rank([[1, 2], [1, 2]]) == 1
+    assert rational_rank([[1, 2], [3, 4]]) == 2
+
+
+@st.composite
+def symmetric_integer_matrices(draw):
+    n = draw(st.integers(min_value=1, max_value=5))
+    cell = st.one_of(
+        st.integers(min_value=-3, max_value=3),
+        st.sampled_from([RANK_PRIME, -RANK_PRIME, 2 * RANK_PRIME + 1]),
+    )
+    upper = {(i, j): draw(cell) for i in range(n) for j in range(i, n)}
+    return [[upper[min(i, j), max(i, j)] for j in range(n)] for i in range(n)]
+
+
+@given(symmetric_integer_matrices())
+def test_rational_rank_matches_gaussian_elimination_on_symmetric_matrices(rows):
+    assert rational_rank(rows) == gauss_rank(rows)
+
+
+@pytest.mark.parametrize("q", [Fraction(2), Fraction(-2)])
+@pytest.mark.parametrize("ms", [(1, 2, 3), (1, 2, 3, 4), (1, 1, 2, 3), (1, 1, 2, 2), (1, 1, 1, 2)])
+def test_rank_of_indefinite_quon_sectors(ms, q):
+    # |q| > 1: the Gram matrix is not positive definite, so a diagonal
+    # pivot may vanish; the rank must still be exact
+    states = permutation_orbit(ms)
+    entries = [[quon_overlap_bruteforce(u, v, q) for v in states] for u in states]
+    full = (1 << len(states)) - 1
+    assert _sector_rank(_canonical(ms)[0], q, full) == rational_rank(entries) == gauss_rank(entries)
 
 
 # Sectors of at most 60 words from the benchmark's gram-sectors patterns:

@@ -90,22 +90,8 @@ def parse_float_values(text: str) -> list[float]:
     return [float(part) for part in text.split(",") if part.strip() != ""]
 
 
-def format_cell(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, Fraction):
-        return str(value)
-    if isinstance(value, float):
-        return repr(value)
-    if isinstance(value, tuple):
-        return " ".join(str(v) for v in value)
-    if value is None:
-        return ""
-    return str(value)
-
-
-# format_cell by exact type, for the cell types the commands emit; any
-# other type (a subclass included) goes through format_cell itself.
+# How each cell type the commands emit is written into CSV; bool comes
+# before int, because a bool is also an int.
 _CELL_FORMATS = {
     bool: lambda v: "true" if v else "false",
     int: str,
@@ -115,6 +101,13 @@ _CELL_FORMATS = {
     type(None): lambda v: "",
     str: str,
 }
+
+
+def format_cell(value) -> str:
+    for kind, fmt in _CELL_FORMATS.items():
+        if isinstance(value, kind):
+            return fmt(value)
+    return str(value)
 
 
 def json_cell(value):

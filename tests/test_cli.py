@@ -250,7 +250,6 @@ def test_window_min_oracle_counts_canonical_states(capsys):
     assert all(r[header.index("agrees")] == "true" for r in rows)
 
 
-
 def test_window_min_of_width_zero_has_an_oracle(capsys):
     code, out, err = run_cli(
         ["count", "--family", "window-min", "--M", "1..6", "--N", "1..3",
@@ -301,6 +300,7 @@ def test_render_matches_format_cell_on_mixed_rows():
     for row in rows:
         writer.writerow([format_cell(v) for v in row])
     assert render(header, rows, "csv") == buf.getvalue()
+
 
 def test_module_entrypoint_runs():
     proc = subprocess.run(

@@ -60,11 +60,11 @@ def test_theta_validation():
         theta_window(1, "sideways")
 
 
-
 def test_min_window_of_width_zero_allows_every_word():
     rule = WindowRule(0, "min")
     assert all(rule.allows(w) for w in brute_words(3, 3))
     assert enumerate_allowed(3, 2, rule) == brute_states(3, 2)
+
 
 def test_theta_x_canonicalises_gap_sets():
     # unordered input is sorted and de-duplicated, same as the rule classes

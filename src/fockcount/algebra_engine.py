@@ -22,11 +22,10 @@ coefficients. A histogram has N(N-1)/2 + 1 coefficients, so words are
 limited to MAX_WORD_LETTERS letters.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .core import AlgebraSpec, ModeLattice, MonomialState
+from .core import AlgebraSpec, MonomialState
 from .restrictions import CapacityExceededError
 
 # Longest word contracted. A histogram has N(N-1)/2 + 1 coefficients and the
@@ -49,76 +48,6 @@ def check_word_length(word: MonomialState) -> None:
             f"{tuple(word)} has {len(word)} letters, more than the "
             f"{MAX_WORD_LETTERS} a contraction is built for"
         )
-
-
-@dataclass(frozen=True)
-class LinearCombination:
-    """Finite rational linear combination of monomial states.
-
-    Terms are kept lexicographically sorted by state and never carry a zero
-    coefficient, so equal combinations compare equal structurally.
-    """
-
-    terms: tuple[tuple[MonomialState, Fraction], ...]
-
-    @classmethod
-    def from_dict(cls, coeffs: dict[MonomialState, Fraction]) -> "LinearCombination":
-        return cls(tuple(sorted((s, c) for s, c in coeffs.items() if c != 0)))
-
-    def coefficient(self, state: MonomialState) -> Fraction:
-        for s, c in self.terms:
-            if s == state:
-                return c
-        return Fraction(0)
-
-    def as_dict(self) -> dict[MonomialState, Fraction]:
-        return dict(self.terms)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __len__(self) -> int:
-        return len(self.terms)
-
-
-def apply_annihilator(
-    mode: int,
-    state: MonomialState,
-    alg: AlgebraSpec,
-    lattice: ModeLattice | None = None,
-) -> LinearCombination:
-    """Normal-ordered image of a_mode acting on a creator word.
-
-    The term dropping the creator at (0-based) position k carries the
-    coefficient q**k; terms with equal remainders merge and zeros vanish.
-    """
-    if lattice is not None:
-        if mode not in lattice:
-            raise ValueError(f"mode {mode} is not a site of the lattice")
-        for idx in state:
-            if idx not in lattice:
-                raise ValueError(f"index {idx} is not a site of the lattice")
-    q = alg.q
-    acc: dict[MonomialState, Fraction] = {}
-    coeff = Fraction(1)
-    for pos, idx in enumerate(state):
-        if idx == mode and coeff:
-            rest = state[:pos] + state[pos + 1 :]
-            acc[rest] = acc.get(rest, Fraction(0)) + coeff
-        coeff = coeff * q
-    return LinearCombination.from_dict(acc)
-
-
-def apply_annihilator_to_combination(
-    mode: int, combo: LinearCombination, alg: AlgebraSpec
-) -> LinearCombination:
-    """Linear extension of apply_annihilator to combinations."""
-    acc: dict[MonomialState, Fraction] = {}
-    for state, weight in combo.terms:
-        for rest, c in apply_annihilator(mode, state, alg).terms:
-            acc[rest] = acc.get(rest, Fraction(0)) + weight * c
-    return LinearCombination.from_dict(acc)
 
 
 @lru_cache(maxsize=1 << 18)

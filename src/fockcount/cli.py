@@ -16,7 +16,7 @@ import io
 import json
 import sys
 from fractions import Fraction
-from itertools import product
+from itertools import combinations_with_replacement, product
 from typing import Iterable
 
 from .core import bose, fermi, quon
@@ -90,6 +90,22 @@ def parse_float_values(text: str) -> list[float]:
     return [float(part) for part in text.split(",") if part.strip() != ""]
 
 
+def parse_int_set(text: str) -> list[tuple[int, ...]]:
+    """A one-value grid: the sorted distinct entries of an integer list."""
+    return [tuple(sorted(set(parse_int_values(text))))]
+
+
+# Grid option (by destination) -> parser of its command-line or config text.
+_GRID_OPTIONS = {
+    **dict.fromkeys(("M", "N", "p", "q", "m", "i1", "n", "k", "nlast", "pattern",
+                     "multiset", "filling"), parse_int_values),
+    "x_set": parse_int_set,
+    "g": parse_frac_values,
+    "lam": parse_frac_values,
+    "L": parse_float_values,
+}
+
+
 # How each cell type the commands emit is written into CSV; bool comes
 # before int, because a bool is also an int.
 _CELL_FORMATS = {
@@ -142,27 +158,26 @@ def _alg_from_spec(text: str):
     raise ValueError(f"algebra must be bose, fermi or quon:Q, got {text!r}")
 
 
-def _rule_from_args(args) -> object | None:
-    family = getattr(args, "rule_family", None) or getattr(args, "family", None)
-    if family in (None, "none"):
-        return None
-    if family == "cs":
-        return CSRule(_single(args, "p"), _single(args, "q"))
-    if family == "cs-bose":
-        return CSRule(0, _single(args, "q"))
-    if family == "x-fermi":
-        return XFermiRule(tuple(args.x_set))
-    if family == "x-bose":
-        return XBoseRule(tuple(args.x_set))
-    if family == "window-min":
-        return WindowRule(_single(args, "p"), "min")
-    if family == "window-max":
-        return WindowRule(_single(args, "p"), "max")
-    if family == "gentile":
-        return GentileRule(_single(args, "m"))
-    if family == "total-cap":
-        return TotalCapRule(_single(args, "p"))
-    raise ValueError(f"no restriction rule for family {family!r}")
+# rule family -> (option names, rule builder), read by `enumerate --family`
+# and `gram --rule-family`; every option takes a single value there.
+RULES = {
+    "none": ((), lambda: None),
+    "cs": (("p", "q"), CSRule),
+    "cs-bose": (("q",), lambda q: CSRule(0, q)),
+    "x-fermi": (("x_set",), XFermiRule),
+    "x-bose": (("x_set",), XBoseRule),
+    "window-min": (("p",), lambda p: WindowRule(p, "min")),
+    "window-max": (("p",), lambda p: WindowRule(p, "max")),
+    "gentile": (("m",), GentileRule),
+    "total-cap": (("p",), TotalCapRule),
+}
+
+
+def _rule_from_args(family: str, args):
+    if family not in RULES:
+        raise ValueError(f"no restriction rule for family {family!r}")
+    options, build = RULES[family]
+    return build(*[_single(args, name) for name in options])
 
 
 def _single(args, name: str):
@@ -177,112 +192,95 @@ def _single(args, name: str):
 def _require(args, *names) -> None:
     for name in names:
         if getattr(args, name, None) in (None, []):
-            raise ValueError(
-                f"--{name.replace('_', '-')} is required for family {args.family!r}"
-            )
+            scope = f"family {args.family!r}" if "family" in vars(args) else args.command
+            raise ValueError(f"--{name.replace('_', '-')} is required for {scope}")
 
 
 # ---------------------------------------------------------------- count ---
 
-COUNT_FAMILIES = (
-    "cs",
-    "cs-bose",
-    "haldane-wu",
-    "real",
-    "x-fermi",
-    "x-bose",
-    "gentile",
-    "para-fermi",
-    "para-bose",
-    "window-min",
-)
+def _gram_count(alg):
+    """The definitional count: Gram ranks summed over the index multisets."""
+    return lambda m, n, rule, cap: count_enumerated(m, n, rule, alg, cap=cap)
+
+
+# For q = 0 quons the Gram route counts the allowed words.
+_WORDS = _gram_count(quon(0))
+
+
+def _canonical_count(m, n, rule, cap) -> int:
+    """The number of canonical (sorted) states the rule allows."""
+    return len(enumerate_allowed(m, n, rule, cap=cap))
+
+
+def _integer_gap(coupling: Fraction) -> CSRule | None:
+    """At a non-negative integer coupling the haldane-wu and real laws count
+    the integer-gap states CSRule(coupling, 1); elsewhere no rule does."""
+    if coupling.denominator == 1 and coupling >= 0:
+        return CSRule(int(coupling), 1)
+    return None
+
+
+# count family -> (option names, closed form, formula tag, oracle rule
+# builder, oracle counter). The closed form takes (M, N, *option values),
+# the rule builder the option values, and returns None where the family
+# has no oracle; the counter takes (M, N, rule, cap).
+COUNT_FAMILIES = {
+    "cs": (("p", "q"), count_cs, "cs-slack-sum", CSRule, _WORDS),
+    "cs-bose": (("q",), count_cs_bose, "cs-bose-closed", RULES["cs-bose"][1], _WORDS),
+    "haldane-wu": (("g",), count_haldane_wu, "interpolating-binomial", _integer_gap, _WORDS),
+    "real": (("lam",), count_real, "real-coupling-binomial", _integer_gap, _WORDS),
+    "x-fermi": (("x_set",), count_x_fermi, "gap-walk", XFermiRule, _WORDS),
+    "x-bose": (("x_set",), count_x_bose, "support-convolution", XBoseRule, _WORDS),
+    "gentile": (("m",), count_gentile, "histogram-multinomial", GentileRule,
+                _gram_count(bose())),
+    "para-fermi": (("p",), lambda m, n, p: count_para_restricted(m, n, p, "fermi"),
+                   "capped-binomial", TotalCapRule, _gram_count(fermi())),
+    "para-bose": (("p",), lambda m, n, p: count_para_restricted(m, n, p, "bose"),
+                  "capped-binomial", TotalCapRule, _gram_count(bose())),
+    "window-min": (("p",), count_window_min, "min-window-binomial",
+                   RULES["window-min"][1], _canonical_count),
+}
+
+# Output column of an option, where it differs from the option's name.
+_COLUMNS = {"lam": "lambda", "x_set": "x"}
 
 
 def run_count(args) -> tuple[list[str], list[tuple], int]:
-    family = args.family
+    """One row per grid point. A point where the closed form is undefined
+    gets a row with empty value cells and a warning on stderr; a grid with
+    no defined point is an error."""
+    options, closed, formula, oracle_rule, oracle_count = COUNT_FAMILIES[args.family]
+    _require(args, "M", "N", *options)
+    header = ["family", "M", "N", *[_COLUMNS.get(name, name) for name in options],
+              "value", "formula"]
     oracle = bool(args.oracle)
-    cap = args.cap
-    header = ["family", "M", "N"]
     rows: list[tuple] = []
+    undefined: list[tuple[str, ValueError]] = []
     failures = 0
-
-    def emit(m, n, extras, value, formula, rule=None, alg=None, has_oracle=True,
-             count=count_enumerated):
-        nonlocal failures
-        row = [family, m, n, *extras, value, formula]
+    grids = [getattr(args, name) for name in options]
+    for m, n, *values in product(args.M, args.N, *grids):
+        try:
+            value = closed(m, n, *values)
+        except ValueError as exc:
+            point = " ".join(f"{column}={format_cell(v)}"
+                             for column, v in zip(header[1:], (m, n, *values)))
+            undefined.append((point, exc))
+            value = None
+        row = [args.family, m, n, *values, value, formula]
         if oracle:
-            if has_oracle:
-                check = count(m, n, rule, alg, cap=cap)
-                agrees = check == value
-                if not agrees:
-                    failures += 1
-                row += [check, agrees]
-            else:
+            rule = None if value is None else oracle_rule(*values)
+            if rule is None:
                 row += [None, None]
+            else:
+                check = oracle_count(m, n, rule, args.cap)
+                agrees = check == value
+                failures += not agrees
+                row += [check, agrees]
         rows.append(tuple(row))
-
-    if family == "cs":
-        _require(args, "M", "N", "p", "q")
-        header += ["p", "q", "value", "formula"]
-        for m, n, p, q in product(args.M, args.N, args.p, args.q):
-            emit(m, n, (p, q), count_cs(m, n, p, q), "cs-slack-sum", CSRule(p, q))
-    elif family == "cs-bose":
-        _require(args, "M", "N", "q")
-        header += ["q", "value", "formula"]
-        for m, n, q in product(args.M, args.N, args.q):
-            emit(m, n, (q,), count_cs_bose(m, n, q), "cs-bose-closed", CSRule(0, q))
-    elif family == "haldane-wu":
-        _require(args, "M", "N", "g")
-        header += ["g", "value", "formula"]
-        for m, n, g in product(args.M, args.N, args.g):
-            value = count_haldane_wu(m, n, g)
-            integer_g = g.denominator == 1 and g >= 0
-            rule = CSRule(int(g), 1) if integer_g else None
-            emit(m, n, (g,), value, "interpolating-binomial", rule,
-                 has_oracle=integer_g and n >= 1)
-    elif family == "real":
-        _require(args, "M", "N", "lam")
-        header += ["lambda", "value", "formula"]
-        for m, n, lam in product(args.M, args.N, args.lam):
-            value = count_real(m, n, lam)
-            integer_lam = lam.denominator == 1
-            rule = CSRule(int(lam), 1) if integer_lam else None
-            emit(m, n, (lam,), value, "real-coupling-binomial", rule,
-                 has_oracle=integer_lam and n >= 1)
-    elif family in ("x-fermi", "x-bose"):
-        _require(args, "M", "N", "x_set")
-        header += ["x", "value", "formula"]
-        xs = tuple(sorted(set(args.x_set)))
-        counter = count_x_fermi if family == "x-fermi" else count_x_bose
-        rule_cls = XFermiRule if family == "x-fermi" else XBoseRule
-        tag = "gap-walk" if family == "x-fermi" else "support-convolution"
-        for m, n in product(args.M, args.N):
-            emit(m, n, (xs,), counter(m, n, xs), tag, rule_cls(xs))
-    elif family == "gentile":
-        _require(args, "M", "N", "m")
-        header += ["m", "value", "formula"]
-        for m, n, cap_m in product(args.M, args.N, args.m):
-            emit(m, n, (cap_m,), count_gentile(m, n, cap_m),
-                 "histogram-multinomial", GentileRule(cap_m), bose())
-    elif family in ("para-fermi", "para-bose"):
-        _require(args, "M", "N", "p")
-        kind = family.split("-")[1]
-        alg = fermi() if kind == "fermi" else bose()
-        header += ["p", "value", "formula"]
-        for m, n, p in product(args.M, args.N, args.p):
-            emit(m, n, (p,), count_para_restricted(m, n, p, kind),
-                 "capped-binomial", TotalCapRule(p), alg)
-    elif family == "window-min":
-        _require(args, "M", "N", "p")
-        header += ["p", "value", "formula"]
-        for m, n, p in product(args.M, args.N, args.p):
-            emit(m, n, (p,), count_window_min(m, n, p), "min-window-binomial",
-                 WindowRule(p, "min"),
-                 count=lambda m, n, rule, alg, cap: len(
-                     enumerate_allowed(m, n, rule, cap=cap)))
-    else:
-        raise ValueError(f"unknown count family {family!r}")
-
+    if undefined and len(undefined) == len(rows):
+        raise undefined[0][1]
+    for point, exc in undefined:
+        print(f"warning: {point}: {exc}", file=sys.stderr)
     if oracle:
         header += ["oracle", "agrees"]
     return header, rows, failures
@@ -290,15 +288,9 @@ def run_count(args) -> tuple[list[str], list[tuple], int]:
 
 # ------------------------------------------------------------ enumerate ---
 
-ENUM_FAMILIES = (
-    "none", "cs", "cs-bose", "x-fermi", "x-bose",
-    "window-min", "window-max", "gentile", "total-cap",
-)
-
-
 def run_enumerate(args) -> tuple[list[str], list[tuple], int]:
     _require(args, "M", "N")
-    rule = _rule_from_args(args)
+    rule = _rule_from_args(args.family, args)
     header = ["family", "M", "N", "index", "state"]
     rows = []
     for m, n in product(args.M, args.N):
@@ -312,15 +304,13 @@ def run_enumerate(args) -> tuple[list[str], list[tuple], int]:
 
 def run_gram(args) -> tuple[list[str], list[tuple], int]:
     alg = _alg_from_spec(args.alg)
-    rule = _rule_from_args(args) if args.rule_family else None
+    rule = _rule_from_args(args.rule_family or "none", args)
     header = ["multiset", "algebra", "dimension", "rank"]
     rows = []
     if args.multiset:
         multisets = [tuple(sorted(args.multiset))]
     else:
         _require(args, "M", "N")
-        from itertools import combinations_with_replacement
-
         multisets = [
             ms
             for m, n in product(args.M, args.N)
@@ -629,46 +619,39 @@ def _add_common(sub) -> None:
                      help="max enumeration candidates per grid point")
 
 
-def _grid_option(sub, flag, dest=None, fractions=False, floats=False, **kw):
-    kind = parse_frac_values if fractions else (
-        parse_float_values if floats else parse_int_values
-    )
-    sub.add_argument(flag, dest=dest, type=kind, default=None, **kw)
+def _grid_options(sub, *flags) -> None:
+    for flag in flags:
+        dest = "lam" if flag == "--lambda" else flag[2:].replace("-", "_")
+        sub.add_argument(flag, dest=dest, type=_GRID_OPTIONS[dest], default=None)
 
 
 def _count_options(sub) -> None:
     sub.add_argument("--family", choices=COUNT_FAMILIES, required=True)
-    for flag in ("--M", "--N", "--p", "--q", "--m"):
-        _grid_option(sub, flag)
-    _grid_option(sub, "--g", fractions=True)
-    _grid_option(sub, "--lambda", dest="lam", fractions=True)
-    _grid_option(sub, "--x-set", dest="x_set")
+    _grid_options(sub, "--M", "--N", "--p", "--q", "--m", "--g", "--lambda", "--x-set")
     sub.add_argument("--oracle", action="store_true", default=None,
                      help="compare each value against the enumerated count")
 
 
+_RULE_FLAGS = ("--M", "--N", "--p", "--q", "--m", "--x-set")
+
+
 def _enumerate_options(sub) -> None:
-    sub.add_argument("--family", choices=ENUM_FAMILIES, default="none")
-    for flag in ("--M", "--N", "--p", "--q", "--m"):
-        _grid_option(sub, flag)
-    _grid_option(sub, "--x-set", dest="x_set")
+    sub.add_argument("--family", choices=RULES, default="none")
+    _grid_options(sub, *_RULE_FLAGS)
 
 
 def _gram_options(sub) -> None:
-    _grid_option(sub, "--multiset")
+    _grid_options(sub, "--multiset")
     sub.add_argument("--alg", default="quon:0",
                      help="bose, fermi or quon:Q (e.g. quon:1/2)")
-    sub.add_argument("--rule-family", choices=ENUM_FAMILIES, default=None)
-    for flag in ("--M", "--N", "--p", "--q", "--m"):
-        _grid_option(sub, flag)
-    _grid_option(sub, "--x-set", dest="x_set")
+    sub.add_argument("--rule-family", choices=RULES, default=None)
+    _grid_options(sub, *_RULE_FLAGS)
 
 
 def _params_options(sub) -> None:
     sub.add_argument("--family", choices=PARAM_FAMILIES, required=True)
-    for flag in ("--M", "--N", "--p", "--q", "--i1", "--n", "--k", "--m",
-                 "--nlast", "--pattern"):
-        _grid_option(sub, flag)
+    _grid_options(sub, "--M", "--N", "--p", "--q", "--i1", "--n", "--k", "--m",
+                  "--nlast", "--pattern")
     sub.add_argument("--side", type=lambda s: s.split(","),
                      default=["right"], help="left, right or left,right")
     sub.add_argument("--oracle", action="store_true", default=None,
@@ -676,10 +659,7 @@ def _params_options(sub) -> None:
 
 
 def _spectrum_options(sub) -> None:
-    _grid_option(sub, "--N")
-    _grid_option(sub, "--lambda", dest="lam", fractions=True)
-    _grid_option(sub, "--L", floats=True)
-    _grid_option(sub, "--filling")
+    _grid_options(sub, "--N", "--lambda", "--L", "--filling")
     sub.add_argument("--anchor", choices=("symmetric", "literal"),
                      default="symmetric")
 
@@ -721,13 +701,6 @@ def build_parser(commands: Iterable[str] = COMMANDS) -> argparse.ArgumentParser:
 
 _CONFIG_DEFAULTS = {"format": "csv", "cap": DEFAULT_CANDIDATE_CAP}
 
-_GRID_KEYS = {
-    "M", "N", "p", "q", "m", "i1", "n", "k", "nlast", "pattern",
-    "multiset", "x_set", "filling",
-}
-_FRAC_KEYS = {"g", "lam"}
-_FLOAT_KEYS = {"L"}
-
 
 def _apply_config(args) -> None:
     """Fill unset options from the JSON config file, then from defaults."""
@@ -743,15 +716,8 @@ def _apply_config(args) -> None:
             dest = "lam"
         if not hasattr(args, dest) or getattr(args, dest) is not None:
             continue
-        if dest in _GRID_KEYS:
-            value = parse_int_values(str(raw))
-        elif dest in _FRAC_KEYS:
-            value = parse_frac_values(str(raw))
-        elif dest in _FLOAT_KEYS:
-            value = parse_float_values(str(raw))
-        else:
-            value = raw
-        setattr(args, dest, value)
+        parse = _GRID_OPTIONS.get(dest)
+        setattr(args, dest, parse(str(raw)) if parse else raw)
     for key, default in _CONFIG_DEFAULTS.items():
         if getattr(args, key, None) is None:
             setattr(args, key, default)

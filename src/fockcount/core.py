@@ -8,10 +8,6 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-# Exact rational scalar carried through inner products, ranks and statistics
-# parameters. Canonical reduced form and positive denominator come for free.
-ExactScalar = Fraction
-
 # A monomial state is the ordered word of creation-operator mode indices
 # applied to the vacuum; the empty tuple is the vacuum itself.
 MonomialState = tuple[int, ...]

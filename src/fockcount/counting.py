@@ -8,7 +8,6 @@ algebra where the two provably coincide).
 """
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import comb
@@ -30,15 +29,6 @@ def binom(n: int, k: int) -> int:
     if k < 0 or n < 0 or n < k:
         return 0
     return comb(n, k)
-
-
-@dataclass(frozen=True)
-class CountResult:
-    """A counted value plus the closed form that produced it."""
-
-    value: int
-    formula: str
-    matches_oracle: bool | None = None
 
 
 def _check_mn(n_sites: int, n_particles: int, min_particles: int = 1) -> None:
@@ -259,15 +249,6 @@ def binomial_identity_holds(n: int, alpha: int) -> bool:
     mid = alpha * binom(n + alpha, n) - n * binom(n + alpha, n + 1)
     rhs = binom(n + alpha, n + 1)
     return lhs == mid == rhs
-
-
-def verify_identity(kind: str, **params) -> bool:
-    """Dispatch for the named arithmetic identities used by the counters."""
-    if kind in ("avg-g", "avgG"):
-        return avg_g_identity_holds(params["p"], params["q"], params["M"])
-    if kind == "binom":
-        return binomial_identity_holds(params["n"], params["alpha"])
-    raise ValueError(f"unknown identity kind {kind!r}")
 
 
 def count_enumerated(

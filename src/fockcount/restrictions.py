@@ -9,7 +9,7 @@ a rule become null states.
 from collections import Counter
 from dataclasses import dataclass
 from math import comb
-from typing import Callable, Iterable
+from typing import Iterable
 
 from .core import MonomialState
 
@@ -20,24 +20,6 @@ class CapacityExceededError(RuntimeError):
     """An enumeration would visit more candidates than the configured cap."""
 
 
-def theta_cs(p: int, q: int) -> Callable[[int, int], bool]:
-    """Pair test allowing ordered separations p, p+q, p+2q, ...
-
-    p = 0, q = 1 admits every non-negative gap (Bose); p = 0 with q > 1
-    admits the gaps 0, q, 2q, ...; p = q = 1 is the Fermi ladder.
-    """
-    if p < 0:
-        raise ValueError(f"p must be >= 0, got {p}")
-    if q < 1:
-        raise ValueError(f"q must be >= 1, got {q}")
-
-    def theta(j: int, k: int) -> bool:
-        gap = k - j
-        return gap >= p and (gap - p) % q == 0
-
-    return theta
-
-
 def _validated_gaps(gaps: Iterable[int]) -> tuple[int, ...]:
     xs = tuple(gaps)
     if not xs:
@@ -45,31 +27,6 @@ def _validated_gaps(gaps: Iterable[int]) -> tuple[int, ...]:
     if any(b <= a for a, b in zip(xs, xs[1:])) or xs[0] < 1:
         raise ValueError("gap set must be strictly increasing positive integers")
     return xs
-
-
-def theta_x(gaps: Iterable[int]) -> Callable[[int, int], bool]:
-    """Pair test allowing exactly the ordered separations in the gap set."""
-    allowed = frozenset(_validated_gaps(tuple(sorted(set(gaps)))))
-    return lambda j, k: (k - j) in allowed
-
-
-def theta_x_bose(gaps: Iterable[int]) -> Callable[[int, int], bool]:
-    """Like theta_x but with gap 0 adjoined, so sites may be reoccupied."""
-    allowed = frozenset(_validated_gaps(tuple(sorted(set(gaps)))))
-    return lambda j, k: k == j or (k - j) in allowed
-
-
-def theta_window(p: int, mode: str) -> Callable[[int, int], bool]:
-    """Two-sided pair test |k - j| >= p (min, p >= 0) or |k - j| <= p
-    (max, p >= 1). The min window of width 0 allows every pair."""
-    if mode not in ("min", "max"):
-        raise ValueError(f"window mode must be 'min' or 'max', got {mode!r}")
-    least = 0 if mode == "min" else 1
-    if p < least:
-        raise ValueError(f"window width must be >= {least}, got {p}")
-    if mode == "min":
-        return lambda j, k: abs(k - j) >= p
-    return lambda j, k: abs(k - j) <= p
 
 
 class RestrictionRule:
@@ -98,13 +55,20 @@ class AdjacentPairRule(RestrictionRule):
 
 @dataclass(frozen=True)
 class CSRule(AdjacentPairRule):
-    """Lattice gap rule: adjacent separations must equal p + n*q, n >= 0."""
+    """Lattice gap rule: adjacent separations must equal p + n*q, n >= 0.
+
+    p = 0, q = 1 admits every non-negative gap (Bose); p = 0 with q > 1
+    admits the gaps 0, q, 2q, ...; p = q = 1 is the Fermi ladder.
+    """
 
     p: int
     q: int
 
     def __post_init__(self) -> None:
-        theta_cs(self.p, self.q)
+        if self.p < 0:
+            raise ValueError(f"p must be >= 0, got {self.p}")
+        if self.q < 1:
+            raise ValueError(f"q must be >= 1, got {self.q}")
 
     def pair_allowed(self, j: int, k: int) -> bool:
         gap = k - j
@@ -150,7 +114,11 @@ class WindowRule(AdjacentPairRule):
     mode: str
 
     def __post_init__(self) -> None:
-        theta_window(self.p, self.mode)
+        if self.mode not in ("min", "max"):
+            raise ValueError(f"window mode must be 'min' or 'max', got {self.mode!r}")
+        least = 0 if self.mode == "min" else 1
+        if self.p < least:
+            raise ValueError(f"window width must be >= {least}, got {self.p}")
 
     def pair_allowed(self, j: int, k: int) -> bool:
         if self.mode == "min":

@@ -3,11 +3,13 @@
 Everything here is written from first principles with a different
 algorithm than the implementation under test: inner products via
 explicit permutation sums (permanent / determinant / inversion count /
-sums of q**inv over letter-preserving permutations),
-ranks via plain Gaussian elimination over Fraction, and counting via
-filtering the full candidate set. Slow on purpose; keep the grids small.
+sums of q**inv over letter-preserving permutations) or by applying
+annihilators one at a time to linear combinations of words, ranks via
+plain Gaussian elimination over Fraction, and counting via filtering the
+full candidate set. Slow on purpose; keep the grids small.
 """
 
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations
 
@@ -70,6 +72,78 @@ def quon_overlap_bruteforce(bra, ket, q):
         if all(b == ket[j] for b, j in zip(bra, pi)):
             total += q ** inversions(pi)
     return total
+
+
+@dataclass(frozen=True)
+class LinearCombination:
+    """Finite rational linear combination of monomial states.
+
+    Terms are kept lexicographically sorted by state and never carry a zero
+    coefficient, so equal combinations compare equal structurally.
+    """
+
+    terms: tuple[tuple[tuple, Fraction], ...]
+
+    @classmethod
+    def from_dict(cls, coeffs: dict[tuple, Fraction]) -> "LinearCombination":
+        return cls(tuple(sorted((s, c) for s, c in coeffs.items() if c != 0)))
+
+    def coefficient(self, state: tuple) -> Fraction:
+        for s, c in self.terms:
+            if s == state:
+                return c
+        return Fraction(0)
+
+    def as_dict(self) -> dict[tuple, Fraction]:
+        return dict(self.terms)
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __len__(self) -> int:
+        return len(self.terms)
+
+
+def apply_annihilator(mode, state, alg, lattice=None):
+    """Normal-ordered image of a_mode acting on a creator word.
+
+    The term dropping the creator at (0-based) position k carries the
+    coefficient q**k; terms with equal remainders merge and zeros vanish.
+    """
+    if lattice is not None:
+        if mode not in lattice:
+            raise ValueError(f"mode {mode} is not a site of the lattice")
+        for idx in state:
+            if idx not in lattice:
+                raise ValueError(f"index {idx} is not a site of the lattice")
+    q = alg.q
+    acc: dict[tuple, Fraction] = {}
+    coeff = Fraction(1)
+    for pos, idx in enumerate(state):
+        if idx == mode and coeff:
+            rest = state[:pos] + state[pos + 1 :]
+            acc[rest] = acc.get(rest, Fraction(0)) + coeff
+        coeff = coeff * q
+    return LinearCombination.from_dict(acc)
+
+
+def apply_annihilator_to_combination(mode, combo, alg):
+    """Linear extension of apply_annihilator to combinations."""
+    acc: dict[tuple, Fraction] = {}
+    for state, weight in combo.terms:
+        for rest, c in apply_annihilator(mode, state, alg).terms:
+            acc[rest] = acc.get(rest, Fraction(0)) + weight * c
+    return LinearCombination.from_dict(acc)
+
+
+def annihilation_overlap(bra, ket, alg):
+    """<bra|ket> by annihilation: apply a_bra[0], a_bra[1], ... to |ket>
+    one term at a time and read off the coefficient of the vacuum."""
+    combo = LinearCombination.from_dict({tuple(ket): Fraction(1)})
+    for mode in bra:
+        combo = apply_annihilator_to_combination(mode, combo, alg)
+    return combo.coefficient(())
 
 
 def gauss_rank(matrix):

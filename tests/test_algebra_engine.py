@@ -14,10 +14,7 @@ from fockcount.core import bose, build_lattice, fermi, quon
 from fockcount.algebra_engine import (
     HIST_BITS,
     MAX_WORD_LETTERS,
-    LinearCombination,
     _contract,
-    apply_annihilator,
-    apply_annihilator_to_combination,
     inner_product,
     unpacked,
 )
@@ -25,6 +22,10 @@ from fockcount.gram import permutation_orbit
 from fockcount.restrictions import CapacityExceededError
 
 from oracles import (
+    LinearCombination,
+    annihilation_overlap,
+    apply_annihilator,
+    apply_annihilator_to_combination,
     delta_matrix,
     determinant_bruteforce,
     inversions,
@@ -80,6 +81,21 @@ def test_apply_annihilator_to_combination_is_linear():
     out = apply_annihilator_to_combination(1, base, quon(HALF))
     # from (1,2): 2*q^0 |2>; from (2,1): 3*q^1 |2>
     assert out.as_dict() == {(2,): Fraction(2) + Fraction(3) * HALF}
+
+
+@pytest.mark.parametrize(
+    "alg", [bose(), fermi(), quon(0), quon(HALF), quon(Fraction(-1, 3))],
+    ids=["bose", "fermi", "q=0", "q=1/2", "q=-1/3"],
+)
+def test_inner_product_matches_annihilation(alg):
+    # every orbit pair of every multiset over {1, 2, 3} with at most 4 letters
+    assert inner_product((), (), alg) == annihilation_overlap((), (), alg) == 1
+    for n in range(1, 5):
+        for ms in combinations_with_replacement((1, 2, 3), n):
+            orbit = permutation_orbit(ms)
+            for bra in orbit:
+                for ket in orbit:
+                    assert inner_product(bra, ket, alg) == annihilation_overlap(bra, ket, alg)
 
 
 def test_inner_product_length_mismatch_is_zero():

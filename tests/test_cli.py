@@ -12,6 +12,7 @@ import pytest
 
 from fockcount.cli import (
     COMMANDS,
+    COUNT_FAMILIES,
     format_cell,
     main,
     parse_frac_values,
@@ -187,6 +188,80 @@ def test_missing_required_grid_is_an_error(capsys):
     code, out, err = run_cli(["count", "--family", "cs", "--M", "5"], capsys)
     assert code == 2
     assert "required" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["enumerate", "--family", "x-fermi", "--M", "5", "--N", "2"],
+     ["gram", "--multiset", "1,2", "--rule-family", "x-bose"]],
+    ids=["enumerate", "gram"],
+)
+def test_missing_x_set_is_a_clean_error(argv, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert err == "error: option --x-set is required here\n"
+
+
+def test_gram_without_multiset_or_grid_is_a_clean_error(capsys):
+    code, out, err = run_cli(["gram", "--alg", "fermi"], capsys)
+    assert code == 2
+    assert err == "error: --M is required for gram\n"
+
+
+def test_undefined_count_points_leave_empty_rows(capsys):
+    # (N-1)(1-g) is not an integer at g = 1/2 for N = 2 and N = 4
+    code, out, err = run_cli(
+        ["count", "--family", "haldane-wu", "--M", "6..9", "--N", "1..4",
+         "--g", "0,1/2", "--oracle"],
+        capsys,
+    )
+    assert code == 0
+    header, rows = parse_csv(out)
+    assert header == ["family", "M", "N", "g", "value", "formula", "oracle", "agrees"]
+    assert len(rows) == 32
+    undefined = [r for r in rows if r[3] == "1/2" and r[2] in ("2", "4")]
+    assert len(undefined) == 8
+    assert all(r[4] == r[6] == r[7] == "" and r[5] == "interpolating-binomial"
+               for r in undefined)
+    assert all(r[4] != "" for r in rows if r not in undefined)
+    assert all(r[7] == "true" for r in rows if r[3] == "0")
+    warnings = err.splitlines()
+    assert len(warnings) == 8
+    assert warnings[0] == ("warning: M=6 N=2 g=1/2: (N-1)(1-g) = 1/2 is not an "
+                           "integer; counting law undefined")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["count", "--family", "cs", "--M", "4", "--N", "2", "--p", "-1", "--q", "1"],
+     ["count", "--family", "haldane-wu", "--M", "6,7", "--N", "2", "--g", "1/2"]],
+    ids=["cs-negative-p", "haldane-wu-all-undefined"],
+)
+def test_count_grid_without_a_defined_point_is_an_error(argv, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+# One value per count option, each defined for every family that takes it.
+COUNT_OPTION_VALUES = {
+    "p": "1", "q": "2", "g": "1", "lam": "1", "m": "2", "x_set": "1,3",
+}
+
+
+@pytest.mark.parametrize("family", list(COUNT_FAMILIES))
+def test_every_count_family_agrees_with_its_oracle(family, capsys):
+    argv = ["count", "--family", family, "--M", "1..6", "--N", "1..3", "--oracle"]
+    for name in COUNT_FAMILIES[family][0]:
+        flag = {"lam": "--lambda"}.get(name, "--" + name.replace("_", "-"))
+        argv += [flag, COUNT_OPTION_VALUES[name]]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 0, err
+    header, rows = parse_csv(out)
+    assert len(rows) == 18
+    assert all(r[header.index("agrees")] == "true" for r in rows)
 
 
 def test_config_file_provides_defaults(tmp_path, capsys):

@@ -26,7 +26,6 @@ from fockcount.counting import (
     count_x_bose,
     count_x_fermi,
     lambda_eff,
-    verify_identity,
 )
 from fockcount.restrictions import (
     CSRule,
@@ -242,13 +241,6 @@ def test_avg_g_identity(p, q, m):
 @given(st.integers(0, 6), st.integers(1, 9))
 def test_binomial_identity(n, alpha):
     assert binomial_identity_holds(n, alpha)
-
-
-def test_verify_identity_dispatch():
-    assert verify_identity("avg-g", p=2, q=3, M=17)
-    assert verify_identity("binom", n=4, alpha=5)
-    with pytest.raises(ValueError):
-        verify_identity("nonsense")
 
 
 def test_count_enumerated_free_and_zero_particles():

@@ -16,10 +16,6 @@ from fockcount.restrictions import (
     count_allowed_words,
     enumerate_allowed,
     is_allowed,
-    theta_cs,
-    theta_window,
-    theta_x,
-    theta_x_bose,
 )
 
 from oracles import (
@@ -34,30 +30,31 @@ from oracles import (
 )
 
 
-def test_theta_cs_gap_set():
-    theta = theta_cs(1, 2)
-    assert [theta(0, d) for d in range(7)] == [
+def test_cs_rule_pair_allowed_gap_set():
+    rule = CSRule(1, 2)
+    assert [rule.pair_allowed(0, d) for d in range(7)] == [
         False, True, False, True, False, True, False,
     ]
-    theta0 = theta_cs(0, 3)
-    assert theta0(2, 2) and theta0(2, 5) and not theta0(2, 4)
+    rule0 = CSRule(0, 3)
+    assert rule0.pair_allowed(2, 2) and rule0.pair_allowed(2, 5)
+    assert not rule0.pair_allowed(2, 4)
 
 
-def test_theta_validation():
-    with pytest.raises(ValueError):
-        theta_cs(-1, 2)
-    with pytest.raises(ValueError):
-        theta_cs(1, 0)
-    with pytest.raises(ValueError):
-        theta_x(())
-    with pytest.raises(ValueError):
-        theta_x((0, 1))
-    with pytest.raises(ValueError):
-        theta_window(-1, "min")
-    with pytest.raises(ValueError):
-        theta_window(0, "max")
-    with pytest.raises(ValueError):
-        theta_window(1, "sideways")
+def test_rule_validation():
+    with pytest.raises(ValueError, match="p must be >= 0, got -1"):
+        CSRule(-1, 2)
+    with pytest.raises(ValueError, match="q must be >= 1, got 0"):
+        CSRule(1, 0)
+    with pytest.raises(ValueError, match="non-empty"):
+        XFermiRule(())
+    with pytest.raises(ValueError, match="strictly increasing positive"):
+        XFermiRule((0, 1))
+    with pytest.raises(ValueError, match="window width must be >= 0, got -1"):
+        WindowRule(-1, "min")
+    with pytest.raises(ValueError, match="window width must be >= 1, got 0"):
+        WindowRule(0, "max")
+    with pytest.raises(ValueError, match="window mode must be 'min' or 'max'"):
+        WindowRule(1, "sideways")
 
 
 def test_min_window_of_width_zero_allows_every_word():
@@ -66,17 +63,21 @@ def test_min_window_of_width_zero_allows_every_word():
     assert enumerate_allowed(3, 2, rule) == brute_states(3, 2)
 
 
-def test_theta_x_canonicalises_gap_sets():
-    # unordered input is sorted and de-duplicated, same as the rule classes
-    theta = theta_x((3, 1, 3))
-    assert theta(0, 1) and theta(0, 3) and not theta(0, 2)
+def test_x_fermi_rule_canonicalises_gap_sets():
+    # unordered input is sorted and de-duplicated
+    rule = XFermiRule((3, 1, 3))
+    assert rule.gaps == (1, 3)
+    assert rule.pair_allowed(0, 1) and rule.pair_allowed(0, 3)
+    assert not rule.pair_allowed(0, 2)
 
 
-def test_theta_x_and_bose_variant():
-    theta = theta_x((1, 3))
-    assert theta(0, 1) and theta(0, 3) and not theta(0, 2) and not theta(0, 0)
-    theta_b = theta_x_bose((1, 3))
-    assert theta_b(4, 4) and theta_b(4, 5) and not theta_b(4, 6)
+def test_x_fermi_rule_and_bose_variant():
+    rule = XFermiRule((1, 3))
+    assert rule.pair_allowed(0, 1) and rule.pair_allowed(0, 3)
+    assert not rule.pair_allowed(0, 2) and not rule.pair_allowed(0, 0)
+    rule_b = XBoseRule((1, 3))
+    assert rule_b.pair_allowed(4, 4) and rule_b.pair_allowed(4, 5)
+    assert not rule_b.pair_allowed(4, 6)
 
 
 def test_cs_rule_examples():

@@ -16,6 +16,7 @@ import io
 import json
 import sys
 from fractions import Fraction
+from functools import partial
 from itertools import combinations_with_replacement, product
 from typing import Iterable
 
@@ -95,6 +96,14 @@ def parse_int_set(text: str) -> list[tuple[int, ...]]:
     return [tuple(sorted(set(parse_int_values(text))))]
 
 
+def parse_sides(text: str) -> list[str]:
+    sides = text.split(",")
+    for side in sides:
+        if side not in ("left", "right"):
+            raise ValueError(f"side must be left or right, got {side!r}")
+    return sides
+
+
 # Grid option (by destination) -> parser of its command-line or config text.
 _GRID_OPTIONS = {
     **dict.fromkeys(("M", "N", "p", "q", "m", "i1", "n", "k", "nlast", "pattern",
@@ -103,6 +112,7 @@ _GRID_OPTIONS = {
     "g": parse_frac_values,
     "lam": parse_frac_values,
     "L": parse_float_values,
+    "side": parse_sides,
 }
 
 
@@ -245,45 +255,57 @@ COUNT_FAMILIES = {
 _COLUMNS = {"lam": "lambda", "x_set": "x"}
 
 
-def run_count(args) -> tuple[list[str], list[tuple], int]:
-    """One row per grid point. A point where the closed form is undefined
-    gets a row with empty value cells and a warning on stderr; a grid with
-    no defined point is an error."""
-    options, closed, formula, oracle_rule, oracle_count = COUNT_FAMILIES[args.family]
-    _require(args, "M", "N", *options)
-    header = ["family", "M", "N", *[_COLUMNS.get(name, name) for name in options],
-              "value", "formula"]
-    oracle = bool(args.oracle)
+def _grid_points(args, names):
+    """The product of the named grids, in order; each one is required."""
+    _require(args, *names)
+    return product(*[getattr(args, name) for name in names])
+
+
+def _sweep(args, columns, points, closed, oracle, oracle_column, tail):
+    """One row (family, *point, value, *tail cells[, check, agrees]) per
+    grid point, in grid order; `tail` maps trailing columns to fixed cells.
+
+    A point where the closed form raises ValueError gets empty value, check
+    and agrees cells and a warning on stderr; a grid with no defined point
+    is an error. The oracle (or None) is called on defined points only and
+    may return None where it has no value; an error it raises aborts."""
+    header = ["family", *columns, "value", *tail]
     rows: list[tuple] = []
-    undefined: list[tuple[str, ValueError]] = []
+    undefined: list[tuple[tuple, ValueError]] = []
     failures = 0
-    grids = [getattr(args, name) for name in options]
-    for m, n, *values in product(args.M, args.N, *grids):
+    for point in points:
         try:
-            value = closed(m, n, *values)
+            value = closed(*point)
         except ValueError as exc:
-            point = " ".join(f"{column}={format_cell(v)}"
-                             for column, v in zip(header[1:], (m, n, *values)))
             undefined.append((point, exc))
             value = None
-        row = [args.family, m, n, *values, value, formula]
-        if oracle:
-            rule = None if value is None else oracle_rule(*values)
-            if rule is None:
-                row += [None, None]
-            else:
-                check = oracle_count(m, n, rule, args.cap)
-                agrees = check == value
-                failures += not agrees
-                row += [check, agrees]
+        row = [args.family, *point, value, *tail.values()]
+        if args.oracle:
+            check = None if value is None or oracle is None else oracle(*point)
+            agrees = None if check is None else check == value
+            failures += agrees is False
+            row += [check, agrees]
         rows.append(tuple(row))
     if undefined and len(undefined) == len(rows):
         raise undefined[0][1]
     for point, exc in undefined:
-        print(f"warning: {point}: {exc}", file=sys.stderr)
-    if oracle:
-        header += ["oracle", "agrees"]
+        where = " ".join(f"{column}={format_cell(v)}" for column, v in zip(columns, point))
+        print(f"warning: {where}: {exc}", file=sys.stderr)
+    if args.oracle:
+        header += [oracle_column, "agrees"]
     return header, rows, failures
+
+
+def run_count(args) -> tuple[list[str], list[tuple], int]:
+    options, closed, formula, oracle_rule, oracle_count = COUNT_FAMILIES[args.family]
+
+    def oracle(m, n, *values):
+        rule = oracle_rule(*values)
+        return None if rule is None else oracle_count(m, n, rule, args.cap)
+
+    columns = ["M", "N", *[_COLUMNS.get(name, name) for name in options]]
+    points = _grid_points(args, ("M", "N", *options))
+    return _sweep(args, columns, points, closed, oracle, "oracle", {"formula": formula})
 
 
 # ------------------------------------------------------------ enumerate ---
@@ -323,75 +345,48 @@ def run_gram(args) -> tuple[list[str], list[tuple], int]:
 
 # --------------------------------------------------------------- params ---
 
-PARAM_FAMILIES = (
-    "cs-finite", "cs-average", "cs-haldane",
-    "gentile-average", "single-gentile", "para-fermi", "para-bose",
-)
+def _definitional(compare):
+    """The definitional value of a compare_* helper at one grid point."""
+    return lambda *point: compare(*point).g_definitional
+
+
+def _cs_average_points(args):
+    """--M is the M0 grid; without it M0 = N·p + q + i1 + 2 at each point."""
+    _require(args, "N", "p", "q", "i1")
+    for p, q, m0, n, i1 in product(args.p, args.q, args.M or [None], args.N, args.i1):
+        yield p, q, n * p + q + i1 + 2 if m0 is None else m0, n, i1
+
+
+def _pattern_points(args):
+    """One point: the occupancy pattern on its own number of sites."""
+    _require(args, "pattern")
+    yield tuple(args.pattern), sum(args.pattern)
+
+
+# params family -> (output columns, closed form, definitional value or None,
+# grid points). The closed form and the definitional value take one point.
+# Points None walks the product of the grids the columns name; otherwise it
+# maps the parsed options to the points.
+PARAM_FAMILIES = {
+    "cs-finite": (("M", "i1", "N", "p", "q", "side"), g_cs_finite,
+                  _definitional(compare_cs_finite), None),
+    "cs-average": (("p", "q", "M0", "N", "i1"), g_average_cs, None, _cs_average_points),
+    "cs-haldane": (("p", "q", "nlast"), g_haldane_cs, None, None),
+    "gentile-average": (("pattern", "M"), g_gentile_average,
+                        _definitional(compare_gentile_average), _pattern_points),
+    "single-gentile": (("n", "m"), lambda n, m: Fraction(g_single_gentile(n, m)),
+                       _definitional(compare_single_gentile), None),
+    "para-fermi": (("M", "n", "k", "p"), partial(g_para_restricted, kind="fermi"),
+                   _definitional(partial(compare_para, kind="fermi")), None),
+    "para-bose": (("M", "n", "k", "p"), partial(g_para_restricted, kind="bose"),
+                  _definitional(partial(compare_para, kind="bose")), None),
+}
 
 
 def run_params(args) -> tuple[list[str], list[tuple], int]:
-    family = args.family
-    oracle = bool(args.oracle)
-    rows: list[tuple] = []
-    failures = 0
-
-    def emit(fixed, value, report=None):
-        nonlocal failures
-        row = [family, *fixed, value]
-        if oracle:
-            if report is not None:
-                if not report.agrees:
-                    failures += 1
-                row += [report.g_definitional, report.agrees]
-            else:
-                row += [None, None]
-        rows.append(tuple(row))
-
-    if family == "cs-finite":
-        _require(args, "M", "N", "p", "q")
-        header = ["family", "M", "i1", "N", "p", "q", "side", "value"]
-        for m, i1, n, p, q in product(args.M, args.i1, args.N, args.p, args.q):
-            for side in args.side:
-                report = compare_cs_finite(m, i1, n, p, q, side) if oracle else None
-                emit((m, i1, n, p, q, side),
-                     g_cs_finite(m, i1, n, p, q, side), report)
-    elif family == "cs-average":
-        _require(args, "N", "p", "q")
-        header = ["family", "p", "q", "M0", "N", "i1", "value"]
-        for p, q, n, i1 in product(args.p, args.q, args.N, args.i1):
-            m0 = args.M[0] if args.M else n * p + q + i1 + 2
-            emit((p, q, m0, n, i1), g_average_cs(p, q, m0, n, i1))
-    elif family == "cs-haldane":
-        _require(args, "p", "q", "nlast")
-        header = ["family", "p", "q", "nlast", "value"]
-        for p, q, nl in product(args.p, args.q, args.nlast):
-            emit((p, q, nl), g_haldane_cs(p, q, nl))
-    elif family == "gentile-average":
-        _require(args, "pattern")
-        pattern = tuple(args.pattern)
-        m_sites = sum(pattern)
-        header = ["family", "pattern", "M", "value"]
-        report = compare_gentile_average(pattern, m_sites) if oracle else None
-        emit((pattern, m_sites), g_gentile_average(pattern, m_sites), report)
-    elif family == "single-gentile":
-        _require(args, "n", "m")
-        header = ["family", "n", "m", "value"]
-        for n, m in product(args.n, args.m):
-            report = compare_single_gentile(n, m) if oracle else None
-            emit((n, m), Fraction(g_single_gentile(n, m)), report)
-    elif family in ("para-fermi", "para-bose"):
-        _require(args, "M", "n", "k", "p")
-        kind = family.split("-")[1]
-        header = ["family", "M", "n", "k", "p", "value"]
-        for m, n, k, p in product(args.M, args.n, args.k, args.p):
-            report = compare_para(m, n, k, p, kind) if oracle else None
-            emit((m, n, k, p), g_para_restricted(m, n, k, p, kind), report)
-    else:
-        raise ValueError(f"unknown params family {family!r}")
-
-    if oracle:
-        header += ["definitional", "agrees"]
-    return header, rows, failures
+    columns, closed, definitional, points = PARAM_FAMILIES[args.family]
+    grid = points(args) if points else _grid_points(args, columns)
+    return _sweep(args, columns, grid, closed, definitional, "definitional", {})
 
 
 # ------------------------------------------------------------- spectrum ---
@@ -636,14 +631,13 @@ _RULE_FLAGS = ("--M", "--N", "--p", "--q", "--m", "--x-set")
 
 
 def _enumerate_options(sub) -> None:
-    sub.add_argument("--family", choices=RULES, default="none")
+    sub.add_argument("--family", choices=RULES)
     _grid_options(sub, *_RULE_FLAGS)
 
 
 def _gram_options(sub) -> None:
     _grid_options(sub, "--multiset")
-    sub.add_argument("--alg", default="quon:0",
-                     help="bose, fermi or quon:Q (e.g. quon:1/2)")
+    sub.add_argument("--alg", help="bose, fermi or quon:Q (e.g. quon:1/2)")
     sub.add_argument("--rule-family", choices=RULES, default=None)
     _grid_options(sub, *_RULE_FLAGS)
 
@@ -652,16 +646,14 @@ def _params_options(sub) -> None:
     sub.add_argument("--family", choices=PARAM_FAMILIES, required=True)
     _grid_options(sub, "--M", "--N", "--p", "--q", "--i1", "--n", "--k", "--m",
                   "--nlast", "--pattern")
-    sub.add_argument("--side", type=lambda s: s.split(","),
-                     default=["right"], help="left, right or left,right")
+    sub.add_argument("--side", type=parse_sides, help="left, right or left,right")
     sub.add_argument("--oracle", action="store_true", default=None,
                      help="compare against the definitional dimension count")
 
 
 def _spectrum_options(sub) -> None:
     _grid_options(sub, "--N", "--lambda", "--L", "--filling")
-    sub.add_argument("--anchor", choices=("symmetric", "literal"),
-                     default="symmetric")
+    sub.add_argument("--anchor", choices=("symmetric", "literal"))
 
 
 def _verify_options(sub) -> None:
@@ -699,7 +691,13 @@ def build_parser(commands: Iterable[str] = COMMANDS) -> argparse.ArgumentParser:
     return parser
 
 
-_CONFIG_DEFAULTS = {"format": "csv", "cap": DEFAULT_CANDIDATE_CAP}
+# Defaults of the options a config file may set, each applied only on the
+# commands that have the option (enumerate's family; count and params
+# require theirs).
+_CONFIG_DEFAULTS = {
+    "format": "csv", "cap": DEFAULT_CANDIDATE_CAP, "side": ["right"],
+    "alg": "quon:0", "anchor": "symmetric", "family": "none",
+}
 
 
 def _apply_config(args) -> None:
@@ -719,7 +717,7 @@ def _apply_config(args) -> None:
         parse = _GRID_OPTIONS.get(dest)
         setattr(args, dest, parse(str(raw)) if parse else raw)
     for key, default in _CONFIG_DEFAULTS.items():
-        if getattr(args, key, None) is None:
+        if key in vars(args) and getattr(args, key) is None:
             setattr(args, key, default)
 
 

@@ -96,8 +96,8 @@ def count_haldane_wu(n_sites: int, n_particles: int, g) -> int:
     Requires (N-1)(1-g) to be an integer; fractional g is admitted only
     when the product clears the denominator.
     """
-    if n_sites < 0 or n_particles < 0:
-        raise ValueError("arguments must be non-negative")
+    if n_sites < 1 or n_particles < 0:
+        raise ValueError("need M >= 1 and N >= 0")
     shift = (n_particles - 1) * (1 - Fraction(g))
     if shift.denominator != 1:
         raise ValueError(

@@ -4,15 +4,20 @@ import csv
 import hashlib
 import io
 import json
+import shlex
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from fockcount.cli import (
     COMMANDS,
     COUNT_FAMILIES,
+    PARAM_FAMILIES,
+    RULES,
+    build_parser,
     format_cell,
     main,
     parse_frac_values,
@@ -235,8 +240,9 @@ def test_undefined_count_points_leave_empty_rows(capsys):
 @pytest.mark.parametrize(
     "argv",
     [["count", "--family", "cs", "--M", "4", "--N", "2", "--p", "-1", "--q", "1"],
-     ["count", "--family", "haldane-wu", "--M", "6,7", "--N", "2", "--g", "1/2"]],
-    ids=["cs-negative-p", "haldane-wu-all-undefined"],
+     ["count", "--family", "haldane-wu", "--M", "6,7", "--N", "2", "--g", "1/2"],
+     ["params", "--family", "single-gentile", "--n", "2,3", "--m", "2", "--oracle"]],
+    ids=["cs-negative-p", "haldane-wu-all-undefined", "single-gentile-all-undefined"],
 )
 def test_count_grid_without_a_defined_point_is_an_error(argv, capsys):
     code, out, err = run_cli(argv, capsys)
@@ -262,6 +268,231 @@ def test_every_count_family_agrees_with_its_oracle(family, capsys):
     header, rows = parse_csv(out)
     assert len(rows) == 18
     assert all(r[header.index("agrees")] == "true" for r in rows)
+
+
+# A small grid per params family, away from the lattice walls and at q = 1,
+# where the two floor conventions of cs-finite coincide.
+PARAM_GRIDS = {
+    "cs-finite": ["--M", "13", "--i1", "5", "--N", "1,2", "--p", "2", "--q", "1",
+                  "--side", "right,left"],
+    "cs-average": ["--p", "0..2", "--q", "1,2", "--N", "2", "--i1", "1"],
+    "cs-haldane": ["--p", "1", "--q", "2", "--nlast", "0,1"],
+    "gentile-average": ["--pattern", "1,2"],
+    "single-gentile": ["--n", "0..3", "--m", "4"],
+    "para-fermi": ["--M", "5,6", "--n", "1", "--k", "1,2", "--p", "2"],
+    "para-bose": ["--M", "5,6", "--n", "1,2", "--k", "1", "--p", "2,3"],
+}
+
+
+@pytest.mark.parametrize("family", list(PARAM_FAMILIES))
+def test_every_params_family_agrees_with_its_definitional_value(family, capsys):
+    code, out, err = run_cli(
+        ["params", "--family", family, *PARAM_GRIDS[family], "--oracle"], capsys
+    )
+    assert code == 0, err
+    assert err == ""
+    header, rows = parse_csv(out)
+    assert header[-2:] == ["definitional", "agrees"]
+    assert rows
+    # cs-average and cs-haldane have a closed form only
+    expected = "true" if PARAM_FAMILIES[family][2] else ""
+    assert all(r[-1] == expected and r[-3] != "" for r in rows)
+
+
+def test_undefined_params_points_leave_empty_rows(capsys):
+    code, out, err = run_cli(
+        ["params", "--family", "single-gentile", "--n", "0..3", "--m", "2", "--oracle"],
+        capsys,
+    )
+    assert code == 0
+    header, rows = parse_csv(out)
+    assert rows == [
+        ["single-gentile", "0", "2", "0", "0", "true"],
+        ["single-gentile", "1", "2", "1", "1", "true"],
+        ["single-gentile", "2", "2", "", "", ""],
+        ["single-gentile", "3", "2", "", "", ""],
+    ]
+    assert err.splitlines() == [
+        "warning: n=2 m=2: filling must lie in 0..1, got 2",
+        "warning: n=3 m=2: filling must lie in 0..1, got 3",
+    ]
+
+
+def test_haldane_wu_without_sites_is_an_undefined_point(capsys):
+    code, out, err = run_cli(
+        ["count", "--family", "haldane-wu", "--M", "0..2", "--N", "1", "--g", "0",
+         "--oracle"],
+        capsys,
+    )
+    assert code == 0
+    _, rows = parse_csv(out)
+    assert [r[4:] for r in rows] == [
+        ["", "interpolating-binomial", "", ""],
+        ["1", "interpolating-binomial", "1", "true"],
+        ["2", "interpolating-binomial", "2", "true"],
+    ]
+    assert err == "warning: M=0 N=1 g=0: need M >= 1 and N >= 0\n"
+
+
+@pytest.mark.parametrize("family", ["cs-finite", "cs-average"])
+def test_params_without_i1_is_a_clean_error(family, capsys):
+    code, out, err = run_cli(
+        ["params", "--family", family, "--M", "12", "--N", "2", "--p", "1", "--q", "2"],
+        capsys,
+    )
+    assert code == 2
+    assert out == ""
+    assert err == f"error: --i1 is required for family '{family}'\n"
+
+
+def test_cs_average_walks_M_as_the_M0_grid(capsys):
+    base = ["params", "--family", "cs-average", "--p", "1", "--q", "2", "--N", "2",
+            "--i1", "1"]
+    code, out, _ = run_cli([*base, "--M", "9,10"], capsys)
+    assert code == 0
+    header, rows = parse_csv(out)
+    assert header == ["family", "p", "q", "M0", "N", "i1", "value"]
+    assert [r[3] for r in rows] == ["9", "10"]
+    assert [r[-1] for r in rows] == ["1/2", "1/2"]
+    # without --M, M0 = N p + q + i1 + 2
+    _, out, _ = run_cli(base, capsys)
+    assert [r[3] for r in parse_csv(out)[1]] == ["7"]
+
+
+def test_side_is_checked_when_parsed(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["params", "--family", "cs-finite", "--M", "13", "--i1", "5", "--N", "1",
+              "--p", "2", "--q", "1", "--side", "right,rigth"])
+    assert exc.value.code == 2
+    assert "invalid parse_sides value: 'right,rigth'" in capsys.readouterr().err
+
+
+def _dests(command, *argv):
+    return vars(build_parser([command]).parse_args([command, *argv]))
+
+
+def test_every_option_a_family_reads_is_an_option_of_its_command():
+    count = _dests("count", "--family", "cs")
+    for options, *_ in COUNT_FAMILIES.values():
+        assert set(options) <= set(count)
+    for command in ("enumerate", "gram"):
+        dests = _dests(command)
+        for options, _ in RULES.values():
+            assert set(options) <= set(dests)
+    params = _dests("params", "--family", "cs-finite")
+    for columns, _, _, points in PARAM_FAMILIES.values():
+        if points is None:
+            assert set(columns) <= set(params)
+
+
+# (config key, value, command line, column, cell from the config, flag that
+# overrides it, cell with that flag)
+CONFIG_KEYS = [
+    ("side", "left", ["params", "--family", "cs-finite", "--M", "13", "--i1", "5",
+                      "--N", "1", "--p", "2", "--q", "1"],
+     "side", "left", ["--side", "right"], "right"),
+    ("alg", "bose", ["gram", "--multiset", "1,2"],
+     "algebra", "bose", ["--alg", "fermi"], "fermi"),
+    ("anchor", "literal", ["spectrum", "--N", "2", "--lambda", "1", "--L", "6.5"],
+     "anchor", "literal", ["--anchor", "symmetric"], "symmetric"),
+    ("family", "cs", ["enumerate", "--M", "6", "--N", "2", "--p", "1", "--q", "2"],
+     "family", "cs", ["--family", "none"], "none"),
+]
+
+
+@pytest.mark.parametrize("key, value, argv, column, from_config, flag, from_flag",
+                         CONFIG_KEYS, ids=[c[0] for c in CONFIG_KEYS])
+def test_config_sets_options_that_have_defaults(
+        key, value, argv, column, from_config, flag, from_flag, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: value}))
+    for extra, expected in (([], from_config), (flag, from_flag)):
+        code, out, err = run_cli([*argv, "--config", str(cfg), *extra], capsys)
+        assert code == 0, err
+        header, rows = parse_csv(out)
+        assert {r[header.index(column)] for r in rows} == {expected}
+
+
+def test_config_side_is_checked(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"side": "up"}))
+    code, out, err = run_cli(CONFIG_KEYS[0][2] + ["--config", str(cfg)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == "error: side must be left or right, got 'up'\n"
+
+
+# Every count and params family, each grid defined at every point. The
+# sha256 covers the exit code, stderr and stdout of each run with and without
+# --oracle, in CSV and JSON; like the verify bytes, a change that alters them
+# updates the hash and says why.
+GOLDEN_RUNS = [
+    ["count", "--family", "cs", "--M", "1..5", "--N", "1..3", "--p", "1", "--q", "2"],
+    ["count", "--family", "cs-bose", "--M", "1..5", "--N", "1..3", "--q", "1,2"],
+    ["count", "--family", "haldane-wu", "--M", "1..5", "--N", "1..3", "--g", "0,1"],
+    ["count", "--family", "real", "--M", "1..5", "--N", "1..3", "--lambda", "1/2,1"],
+    ["count", "--family", "x-fermi", "--M", "1..5", "--N", "1..3", "--x-set", "1,3"],
+    ["count", "--family", "x-bose", "--M", "1..5", "--N", "1..3", "--x-set", "2"],
+    ["count", "--family", "gentile", "--M", "1..4", "--N", "1..3", "--m", "2"],
+    ["count", "--family", "para-fermi", "--M", "1..4", "--N", "1..3", "--p", "2"],
+    ["count", "--family", "para-bose", "--M", "1..4", "--N", "1..3", "--p", "2"],
+    ["count", "--family", "window-min", "--M", "1..5", "--N", "1..3", "--p", "0..2"],
+    ["params", "--family", "cs-finite", "--M", "9", "--i1", "3", "--N", "1,2",
+     "--p", "1", "--q", "1,2", "--side", "right,left"],
+    ["params", "--family", "cs-average", "--p", "0..2", "--q", "1,2", "--N", "2",
+     "--i1", "1"],
+    ["params", "--family", "cs-haldane", "--p", "1,2", "--q", "1,2", "--nlast", "0,1"],
+    ["params", "--family", "gentile-average", "--pattern", "1,2"],
+    ["params", "--family", "single-gentile", "--n", "0..3", "--m", "4"],
+    ["params", "--family", "para-fermi", "--M", "5,6", "--n", "1,2", "--k", "1",
+     "--p", "2,3"],
+    ["params", "--family", "para-bose", "--M", "5,6", "--n", "1,2", "--k", "1",
+     "--p", "2,3"],
+]
+GOLDEN_RUNS_SHA256 = "d8d7a0a4ed26bf1a3b10998f14542ecb54e1361e40d9261d8e20f1a7011d74ba"
+
+
+def test_count_and_params_output_is_pinned(capsys):
+    digest = hashlib.sha256()
+    for argv in GOLDEN_RUNS:
+        for oracle in ([], ["--oracle"]):
+            for fmt in ("csv", "json"):
+                run = [*argv, *oracle, "--format", fmt]
+                code, out, err = run_cli(run, capsys)
+                digest.update(f"{shlex.join(run)}\n{code}\n{err}{out}".encode())
+    assert digest.hexdigest() == GOLDEN_RUNS_SHA256
+
+
+def _readme_commands():
+    """The `fockcount ...` lines of the README's "Command line" code block,
+    with continuation lines joined."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = text.split("## Command line", 1)[1].split("\n## ", 1)[0]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line)[1:]
+            for line in block.replace("\\\n", " ").splitlines()
+            if line.startswith("fockcount ")]
+
+
+def _readme_case(argv):
+    if argv[:3] == ["params", "--family", "cs-finite"] and "--oracle" in argv:
+        return pytest.param(argv, marks=pytest.mark.xfail(
+            strict=True,
+            reason="params aborts where the definitional route refuses a point "
+                   "(the cli.run_params FOUND line in CHANGES.md)"))
+    return argv
+
+
+README_COMMANDS = _readme_commands()
+
+
+@pytest.mark.parametrize("argv", [_readme_case(a) for a in README_COMMANDS],
+                         ids=[f"{a[0]}-{i}" for i, a in enumerate(README_COMMANDS)])
+def test_readme_command_line_examples_run(argv, capsys):
+    code, out, err = run_cli(argv, capsys)
+    # 1 reports a disagreement, which is output, not an error
+    assert code in (0, 1), err
+    assert out.count("\n") > 1
 
 
 def test_config_file_provides_defaults(tmp_path, capsys):

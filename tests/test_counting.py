@@ -109,6 +109,14 @@ def test_count_haldane_wu_frozen_example():
     assert count_haldane_wu(5, 3, Fraction(2)) == 1
 
 
+@pytest.mark.parametrize("law", [count_haldane_wu, count_real], ids=["haldane-wu", "real"])
+@pytest.mark.parametrize("m, n", [(0, 1), (-1, 2), (3, -1)])
+def test_coupling_laws_share_their_domain(law, m, n):
+    # M >= 1 and N >= 0, the domain of the definitional count
+    with pytest.raises(ValueError, match=r"^need M >= 1 and N >= 0$"):
+        law(m, n, Fraction(0))
+
+
 def test_count_real_and_lambda_eff():
     assert count_real(4, 3, Fraction(1, 2)) == 10
     assert lambda_eff(4, Fraction(1, 2)) == Fraction(2, 3)

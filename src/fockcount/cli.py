@@ -13,12 +13,11 @@ order.
 import argparse
 import csv
 import io
-import json
 import sys
+from collections.abc import Iterable
 from fractions import Fraction
 from functools import partial
 from itertools import combinations_with_replacement, product
-from typing import Iterable
 
 from .core import bose, fermi, quon
 from .counting import (
@@ -146,6 +145,8 @@ def json_cell(value):
 
 def render(header: list[str], rows: list[tuple], fmt: str) -> str:
     if fmt == "json":
+        import json
+
         payload = [dict(zip(header, (json_cell(v) for v in row))) for row in rows]
         return json.dumps(payload, indent=2) + "\n"
     buf = io.StringIO()
@@ -700,22 +701,50 @@ _CONFIG_DEFAULTS = {
 }
 
 
+def _config_value(action, key: str, raw):
+    """A config file value, converted and checked by its option's action as
+    the same text on the command line would be. A list is its entries
+    joined with ",", or one entry per use of a repeatable option; a flag
+    takes only true or false."""
+    if action.nargs == 0:
+        if not isinstance(raw, bool):
+            raise ValueError(f"config key {key!r} must be true or false, got {raw!r}")
+        return raw
+    items = raw if isinstance(raw, list) else [raw]
+    if not items or not all(isinstance(v, (str, int, float)) and not isinstance(v, bool)
+                            for v in items):
+        raise ValueError(
+            f"config key {key!r} must be a string, a number or a list of them, got {raw!r}")
+    repeated = isinstance(action, argparse._AppendAction)
+    texts = [str(v) for v in items] if repeated else [",".join(map(str, items))]
+    values = [action.type(text) if action.type else text for text in texts]
+    for value in values:
+        if action.choices is not None and value not in action.choices:
+            raise ValueError(f"config key {key!r}: invalid choice {value!r} "
+                             f"(choose from {', '.join(action.choices)})")
+    return values if repeated else values[0]
+
+
 def _apply_config(args) -> None:
     """Fill unset options from the JSON config file, then from defaults."""
-    loaded = {}
     if getattr(args, "config", None):
+        import json
+
         with open(args.config, "r", encoding="utf-8") as fh:
             loaded = json.load(fh)
         if not isinstance(loaded, dict):
             raise ValueError("config file must hold a JSON object")
-    for key, raw in loaded.items():
-        dest = key.replace("-", "_")
-        if dest == "lambda":
-            dest = "lam"
-        if not hasattr(args, dest) or getattr(args, dest) is not None:
-            continue
-        parse = _GRID_OPTIONS.get(dest)
-        setattr(args, dest, parse(str(raw)) if parse else raw)
+        sub = argparse.ArgumentParser()
+        COMMANDS[args.command][1](sub)
+        _add_common(sub)
+        actions = {action.dest: action for action in sub._actions}
+        for key, raw in loaded.items():
+            dest = key.replace("-", "_")
+            if dest == "lambda":
+                dest = "lam"
+            if dest not in actions or getattr(args, dest) is not None:
+                continue
+            setattr(args, dest, _config_value(actions[dest], key, raw))
     for key, default in _CONFIG_DEFAULTS.items():
         if key in vars(args) and getattr(args, key) is None:
             setattr(args, key, default)

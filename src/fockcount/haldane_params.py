@@ -13,23 +13,20 @@ selects it. The two differ by a phase shift of the lattice size and share
 the same average.
 """
 
-from dataclasses import dataclass, field
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Iterable, Sequence
 
-from .core import ModeLattice, bose, build_lattice, fermi, quon
+from .core import Frozen, ModeLattice, bose, build_lattice, fermi, quon
 from .gram import extended_g
 from .restrictions import CSRule, GentileRule, TotalCapRule
 
 
-@dataclass(frozen=True)
-class GReport:
+class GReport(Frozen):
     """Closed-form vs definitional statistics parameter at one grid point."""
 
-    g_closed_form: Fraction | None
-    g_definitional: Fraction | None
-    agrees: bool | None
-    context: dict = field(default_factory=dict)
+    # Fraction | None, Fraction | None, bool | None, dict (fresh when omitted)
+    __slots__ = ("g_closed_form", "g_definitional", "agrees", "context")
+    _defaults = {"context": dict}
 
 
 def g_cs_finite(

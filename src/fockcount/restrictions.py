@@ -7,11 +7,10 @@ a rule become null states.
 """
 
 from collections import Counter
-from dataclasses import dataclass
+from collections.abc import Iterable
 from math import comb
-from typing import Iterable
 
-from .core import MonomialState
+from .core import Frozen, MonomialState
 
 DEFAULT_CANDIDATE_CAP = 2_000_000
 
@@ -29,8 +28,10 @@ def _validated_gaps(gaps: Iterable[int]) -> tuple[int, ...]:
     return xs
 
 
-class RestrictionRule:
+class RestrictionRule(Frozen):
     """Base predicate on creator words."""
+
+    __slots__ = ()
 
     def allows(self, state: MonomialState) -> bool:
         raise NotImplementedError
@@ -43,6 +44,8 @@ class RestrictionRule:
 class AdjacentPairRule(RestrictionRule):
     """Rule constraining every adjacent ordered pair of the word."""
 
+    __slots__ = ()
+
     def pair_allowed(self, j: int, k: int) -> bool:
         raise NotImplementedError
 
@@ -53,7 +56,6 @@ class AdjacentPairRule(RestrictionRule):
         return not prefix or self.pair_allowed(prefix[-1], site)
 
 
-@dataclass(frozen=True)
 class CSRule(AdjacentPairRule):
     """Lattice gap rule: adjacent separations must equal p + n*q, n >= 0.
 
@@ -61,10 +63,9 @@ class CSRule(AdjacentPairRule):
     admits the gaps 0, q, 2q, ...; p = q = 1 is the Fermi ladder.
     """
 
-    p: int
-    q: int
+    __slots__ = ("p", "q")  # int, int
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if self.p < 0:
             raise ValueError(f"p must be >= 0, got {self.p}")
         if self.q < 1:
@@ -75,33 +76,30 @@ class CSRule(AdjacentPairRule):
         return gap >= self.p and (gap - self.p) % self.q == 0
 
 
-@dataclass(frozen=True)
 class XFermiRule(AdjacentPairRule):
     """Adjacent separations restricted to an explicit positive-gap set."""
 
-    gaps: tuple[int, ...]
+    __slots__ = ("gaps",)  # tuple[int, ...]
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         object.__setattr__(self, "gaps", _validated_gaps(tuple(sorted(set(self.gaps)))))
 
     def pair_allowed(self, j: int, k: int) -> bool:
         return (k - j) in self.gaps
 
 
-@dataclass(frozen=True)
 class XBoseRule(AdjacentPairRule):
     """Gap-set rule with reoccupation: gap 0 is adjoined to the set."""
 
-    gaps: tuple[int, ...]
+    __slots__ = ("gaps",)  # tuple[int, ...]
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         object.__setattr__(self, "gaps", _validated_gaps(tuple(sorted(set(self.gaps)))))
 
     def pair_allowed(self, j: int, k: int) -> bool:
         return k == j or (k - j) in self.gaps
 
 
-@dataclass(frozen=True)
 class WindowRule(AdjacentPairRule):
     """Two-sided neighbour window on adjacent pairs.
 
@@ -110,10 +108,9 @@ class WindowRule(AdjacentPairRule):
     on the max window, where the two readings differ.
     """
 
-    p: int
-    mode: str
+    __slots__ = ("p", "mode")  # int, "min" or "max"
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if self.mode not in ("min", "max"):
             raise ValueError(f"window mode must be 'min' or 'max', got {self.mode!r}")
         least = 0 if self.mode == "min" else 1
@@ -126,13 +123,12 @@ class WindowRule(AdjacentPairRule):
         return abs(k - j) <= self.p
 
 
-@dataclass(frozen=True)
 class GentileRule(RestrictionRule):
     """At most max_occupancy particles per oscillator."""
 
-    max_occupancy: int
+    __slots__ = ("max_occupancy",)  # int
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if self.max_occupancy < 1:
             raise ValueError(f"max occupancy must be >= 1, got {self.max_occupancy}")
 
@@ -150,13 +146,12 @@ class GentileRule(RestrictionRule):
         return run < self.max_occupancy
 
 
-@dataclass(frozen=True)
 class TotalCapRule(RestrictionRule):
     """At most cap particles in total, any placement."""
 
-    cap: int
+    __slots__ = ("cap",)  # int
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if self.cap < 1:
             raise ValueError(f"total cap must be >= 1, got {self.cap}")
 

@@ -422,6 +422,66 @@ def test_config_side_is_checked(tmp_path, capsys):
     assert err == "error: side must be left or right, got 'up'\n"
 
 
+CS_COUNT = ["count", "--family", "cs", "--M", "8", "--N", "2", "--p", "1", "--q", "2"]
+
+
+def _run_with_config(config, argv, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    return run_cli([*argv, "--config", str(cfg)], capsys)
+
+
+def test_config_format_is_checked_against_its_choices(tmp_path, capsys):
+    code, out, err = _run_with_config({"format": "xml"}, CS_COUNT, tmp_path, capsys)
+    assert code == 2
+    assert out == ""
+    assert err == "error: config key 'format': invalid choice 'xml' (choose from csv, json)\n"
+    code, out, _ = _run_with_config({"format": "json"}, CS_COUNT, tmp_path, capsys)
+    assert code == 0 and json.loads(out)[0]["value"] == 16
+
+
+def test_config_list_means_its_entries_joined_with_commas(tmp_path, capsys):
+    argv = ["count", "--family", "cs", "--N", "2", "--p", "1", "--q", "2"]
+    code, out, err = _run_with_config({"M": [8, 9]}, argv, tmp_path, capsys)
+    assert code == 0, err
+    assert out == run_cli([*argv, "--M", "8,9"], capsys)[1]
+    assert [row[1] for row in parse_csv(out)[1]] == ["8", "9"]
+    code, out, err = _run_with_config({"M": [8, [9]]}, argv, tmp_path, capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: config key 'M' must be a string, a number or a list")
+
+
+def test_config_value_goes_through_the_option_type(tmp_path, capsys):
+    argv = ["enumerate", "--family", "cs", "--M", "6", "--N", "2", "--p", "1", "--q", "2"]
+    code, out, err = _run_with_config({"cap": "10"}, argv, tmp_path, capsys)
+    assert code == 2 and out == ""
+    assert err == "error: 21 candidate states for 2 particles on 6 sites exceeds cap 10\n"
+    code, out, err = _run_with_config({"cap": 21}, argv, tmp_path, capsys)
+    assert code == 0, err
+    code, out, err = _run_with_config({"cap": "ten"}, argv, tmp_path, capsys)
+    assert code == 2
+    assert err == "error: invalid literal for int() with base 10: 'ten'\n"
+
+
+def test_config_flags_take_only_json_booleans(tmp_path, capsys):
+    code, out, err = _run_with_config({"oracle": "no"}, CS_COUNT, tmp_path, capsys)
+    assert code == 2 and out == ""
+    assert err == "error: config key 'oracle' must be true or false, got 'no'\n"
+    for value, columns in ((True, 9), (False, 7)):
+        code, out, err = _run_with_config({"oracle": value}, CS_COUNT, tmp_path, capsys)
+        assert code == 0, err
+        assert len(parse_csv(out)[0]) == columns
+
+
+def test_config_kind_takes_one_entry_per_check(tmp_path, capsys):
+    expected = run_cli(["verify", "--kind", "binom-identity", "--kind", "cs-average"],
+                       capsys)
+    kinds = {"kind": ["binom-identity", "cs-average"]}
+    assert _run_with_config(kinds, ["verify"], tmp_path, capsys) == expected
+    single = run_cli(["verify", "--kind", "binom-identity"], capsys)
+    assert _run_with_config({"kind": "binom-identity"}, ["verify"], tmp_path, capsys) == single
+
+
 # Every count and params family, each grid defined at every point. The
 # sha256 covers the exit code, stderr and stdout of each run with and without
 # --oracle, in CSV and JSON; like the verify bytes, a change that alters them

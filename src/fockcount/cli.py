@@ -725,8 +725,20 @@ def _config_value(action, key: str, raw):
     return values if repeated else values[0]
 
 
+def _option_actions(command: str) -> dict:
+    """The argparse action of each option of a command, by destination."""
+    sub = argparse.ArgumentParser(add_help=False)
+    COMMANDS[command][1](sub)
+    _add_common(sub)
+    return {action.dest: action for action in sub._actions}
+
+
 def _apply_config(args) -> None:
-    """Fill unset options from the JSON config file, then from defaults."""
+    """Fill unset options from the JSON config file, then from defaults.
+
+    A key that is an option of another command is skipped, so one file can
+    serve several commands; a key that no command has is an error.
+    """
     if getattr(args, "config", None):
         import json
 
@@ -734,17 +746,17 @@ def _apply_config(args) -> None:
             loaded = json.load(fh)
         if not isinstance(loaded, dict):
             raise ValueError("config file must hold a JSON object")
-        sub = argparse.ArgumentParser()
-        COMMANDS[args.command][1](sub)
-        _add_common(sub)
-        actions = {action.dest: action for action in sub._actions}
+        actions = _option_actions(args.command)
         for key, raw in loaded.items():
             dest = key.replace("-", "_")
             if dest == "lambda":
                 dest = "lam"
-            if dest not in actions or getattr(args, dest) is not None:
+            if dest not in actions:
+                if not any(dest in _option_actions(name) for name in COMMANDS):
+                    raise ValueError(f"unknown config key {key!r}")
                 continue
-            setattr(args, dest, _config_value(actions[dest], key, raw))
+            if getattr(args, dest) is None:
+                setattr(args, dest, _config_value(actions[dest], key, raw))
     for key, default in _CONFIG_DEFAULTS.items():
         if key in vars(args) and getattr(args, key) is None:
             setattr(args, key, default)

@@ -7,7 +7,7 @@ a rule become null states.
 """
 
 from collections import Counter
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from math import comb
 
 from .core import Frozen, MonomialState
@@ -51,9 +51,6 @@ class AdjacentPairRule(RestrictionRule):
 
     def allows(self, state: MonomialState) -> bool:
         return all(self.pair_allowed(a, b) for a, b in zip(state, state[1:]))
-
-    def _extension_ok(self, prefix, site: int) -> bool:
-        return not prefix or self.pair_allowed(prefix[-1], site)
 
 
 class CSRule(AdjacentPairRule):
@@ -164,6 +161,25 @@ def is_allowed(state: MonomialState, rule: RestrictionRule | None) -> bool:
     return rule is None or rule.allows(state)
 
 
+def _successors(
+    n_sites: int, rule: RestrictionRule | None, canonical: bool
+) -> list[Sequence[int]]:
+    """The site table: entry j (for sites 1..M; entry 0 is empty) lists the
+    sites that may follow site j in a word, in increasing order.
+
+    Canonical words take only sites k >= j. An AdjacentPairRule keeps the k
+    with pair_allowed(j, k); every other rule reads the word as a whole and
+    keeps every k.
+    """
+    table: list[Sequence[int]] = [()]
+    for j in range(1, n_sites + 1):
+        sites = range(j if canonical else 1, n_sites + 1)
+        if isinstance(rule, AdjacentPairRule):
+            sites = [k for k in sites if rule.pair_allowed(j, k)]
+        table.append(sites)
+    return table
+
+
 def enumerate_allowed(
     n_sites: int,
     n_particles: int,
@@ -174,6 +190,13 @@ def enumerate_allowed(
 
     The raw candidate space is the set of index multisets; if it exceeds the
     cap the search is refused rather than silently truncated.
+
+    Words grow one site per level: each word of a level, in order, is
+    extended by the successors of its last site (`_successors`, canonical),
+    so every level stays in lexicographic order. For an AdjacentPairRule the
+    successor lists are the rule, and every finished word passes it. Any
+    other rule prunes each extension through its `_extension_ok` hook and
+    checks the finished words with `allows`.
     """
     if n_sites < 1:
         raise ValueError(f"need at least one site, got {n_sites}")
@@ -189,23 +212,18 @@ def enumerate_allowed(
     if n_particles == 0:
         return [()] if is_allowed((), rule) else []
 
-    results: list[MonomialState] = []
-    prefix: list[int] = []
-
-    def extend(min_site: int) -> None:
-        if len(prefix) == n_particles:
-            word = tuple(prefix)
-            if is_allowed(word, rule):
-                results.append(word)
-            return
-        for s in range(min_site, n_sites + 1):
-            if rule is None or rule._extension_ok(prefix, s):
-                prefix.append(s)
-                extend(s)
-                prefix.pop()
-
-    extend(1)
-    return results
+    words: list[MonomialState] = [(j,) for j in range(1, n_sites + 1)]
+    # One-site words extend nothing; only longer ones need the table, whose
+    # M^2 / 2 entries then stay below the candidate count.
+    successors = _successors(n_sites, rule, canonical=True) if n_particles > 1 else None
+    if rule is None or isinstance(rule, AdjacentPairRule):
+        for _ in range(n_particles - 1):
+            words = [w + (k,) for w in words for k in successors[w[-1]]]
+        return words
+    for _ in range(n_particles - 1):
+        words = [w + (k,) for w in words for k in successors[w[-1]]
+                 if rule._extension_ok(w, k)]
+    return [w for w in words if rule.allows(w)]
 
 
 def count_allowed_words(
@@ -240,13 +258,15 @@ def count_allowed_words(
             dp = new
         return dp[n_particles]
     if isinstance(rule, AdjacentPairRule):
-        sites = range(1, n_sites + 1)
-        ok = [[rule.pair_allowed(j, k) for k in sites] for j in sites]
-        counts = [1] * n_sites
+        successors = _successors(n_sites, rule, canonical=False)
+        # counts[j]: the words of the current length that end at site j
+        counts = [0] + [1] * n_sites
         for _ in range(n_particles - 1):
-            counts = [
-                sum(counts[j] for j in range(n_sites) if ok[j][t])
-                for t in range(n_sites)
-            ]
+            extended = [0] * (n_sites + 1)
+            for j, ways in enumerate(counts):
+                if ways:
+                    for k in successors[j]:
+                        extended[k] += ways
+            counts = extended
         return sum(counts)
     raise TypeError(f"unsupported rule type {type(rule).__name__}")

@@ -213,8 +213,9 @@ def gentile_allowed(state, max_occupancy):
 
 
 def window_allowed(state, p, mode):
+    # distances, so that ordered words are read too
     if mode == "min":
-        return all(b - a >= p for a, b in zip(state, state[1:]))
+        return all(abs(b - a) >= p for a, b in zip(state, state[1:]))
     if mode == "max":
-        return all(b - a <= p for a, b in zip(state, state[1:]))
+        return all(abs(b - a) <= p for a, b in zip(state, state[1:]))
     raise ValueError(mode)

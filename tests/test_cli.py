@@ -473,6 +473,17 @@ def test_config_flags_take_only_json_booleans(tmp_path, capsys):
         assert len(parse_csv(out)[0]) == columns
 
 
+def test_config_key_of_no_command_is_an_error(tmp_path, capsys):
+    for key in ("orcale", "help", "command"):
+        code, out, err = _run_with_config({key: True}, CS_COUNT, tmp_path, capsys)
+        assert code == 2 and out == ""
+        assert err == f"error: unknown config key {key!r}\n"
+    # keys of other commands (params, verify, spectrum, gram) are skipped
+    shared = {"side": "left", "kind": "cs-average", "anchor": "literal", "rule-family": "cs"}
+    code, out, err = _run_with_config(shared, CS_COUNT, tmp_path, capsys)
+    assert (code, out, err) == run_cli(CS_COUNT, capsys)
+
+
 def test_config_kind_takes_one_entry_per_check(tmp_path, capsys):
     expected = run_cli(["verify", "--kind", "binom-identity", "--kind", "cs-average"],
                        capsys)
@@ -521,6 +532,38 @@ def test_count_and_params_output_is_pinned(capsys):
                 code, out, err = run_cli(run, capsys)
                 digest.update(f"{shlex.join(run)}\n{code}\n{err}{out}".encode())
     assert digest.hexdigest() == GOLDEN_RUNS_SHA256
+
+
+# Every rule family of `enumerate`, each on a small grid that includes N = 0
+# and sites without successors, plus the 31,465-row cs listing and a refused
+# search. The sha256 covers the exit code, stderr and stdout of each run in
+# CSV and JSON; a change that alters them updates the hash and says why.
+ENUMERATE_GOLDEN_RUNS = [
+    ["enumerate", "--family", "none", "--M", "1..4", "--N", "0..3"],
+    ["enumerate", "--family", "cs", "--M", "1..6", "--N", "0..3", "--p", "1", "--q", "2"],
+    ["enumerate", "--family", "cs", "--M", "1..6", "--N", "0..3", "--p", "4", "--q", "1"],
+    ["enumerate", "--family", "cs-bose", "--M", "1..5", "--N", "0..3", "--q", "2"],
+    ["enumerate", "--family", "x-fermi", "--M", "1..6", "--N", "0..3", "--x-set", "1,3"],
+    ["enumerate", "--family", "x-fermi", "--M", "1..7", "--N", "1..3", "--x-set", "6"],
+    ["enumerate", "--family", "x-bose", "--M", "1..5", "--N", "0..3", "--x-set", "2"],
+    ["enumerate", "--family", "window-min", "--M", "1..5", "--N", "0..3", "--p", "0..2"],
+    ["enumerate", "--family", "window-max", "--M", "1..5", "--N", "0..3", "--p", "1,2"],
+    ["enumerate", "--family", "gentile", "--M", "1..4", "--N", "0..4", "--m", "1..3"],
+    ["enumerate", "--family", "total-cap", "--M", "1..4", "--N", "0..4", "--p", "2"],
+    ["enumerate", "--family", "none", "--M", "10", "--N", "3", "--cap", "100"],
+    ["enumerate", "--family", "cs", "--M", "34", "--N", "4", "--p", "2", "--q", "1"],
+]
+ENUMERATE_GOLDEN_SHA256 = "6e88db08a2a43e501200001743597c64c0544187987e2efffc31dbeefca28ebd"
+
+
+def test_enumerate_output_is_pinned(capsys):
+    digest = hashlib.sha256()
+    for argv in ENUMERATE_GOLDEN_RUNS:
+        for fmt in ("csv", "json"):
+            run = [*argv, "--format", fmt]
+            code, out, err = run_cli(run, capsys)
+            digest.update(f"{shlex.join(run)}\n{code}\n{err}{out}".encode())
+    assert digest.hexdigest() == ENUMERATE_GOLDEN_SHA256
 
 
 def _readme_commands():

@@ -128,23 +128,37 @@ def test_is_allowed_none_rule_allows_everything():
     assert is_allowed((3, 1, 2), None)
 
 
-@pytest.mark.parametrize(
-    "rule,predicate",
-    [
-        (CSRule(1, 2), lambda s: cs_allowed(s, 1, 2)),
-        (CSRule(2, 1), lambda s: cs_allowed(s, 2, 1)),
-        (CSRule(0, 2), lambda s: cs_allowed(s, 0, 2)),
-        (XFermiRule((1, 3)), lambda s: x_allowed(s, (1, 3))),
-        (XBoseRule((2,)), lambda s: x_bose_allowed(s, (2,))),
-        (WindowRule(2, "min"), lambda s: window_allowed(s, 2, "min")),
-        (WindowRule(2, "max"), lambda s: window_allowed(s, 2, "max")),
-        (GentileRule(2), lambda s: gentile_allowed(s, 2)),
-        (TotalCapRule(2), lambda s: len(s) <= 2),
-    ],
-)
+# Each rule with an independent predicate on words. CSRule(4, 1) and
+# XFermiRule((6,)) leave sites without any successor at small M. The order
+# keeps the test ids (rule0, rule1, ...) of the rules listed first.
+RULE_PREDICATES = {
+    CSRule(1, 2): lambda s: cs_allowed(s, 1, 2),
+    CSRule(2, 1): lambda s: cs_allowed(s, 2, 1),
+    CSRule(0, 2): lambda s: cs_allowed(s, 0, 2),
+    XFermiRule((1, 3)): lambda s: x_allowed(s, (1, 3)),
+    XBoseRule((2,)): lambda s: x_bose_allowed(s, (2,)),
+    WindowRule(2, "min"): lambda s: window_allowed(s, 2, "min"),
+    WindowRule(2, "max"): lambda s: window_allowed(s, 2, "max"),
+    GentileRule(2): lambda s: gentile_allowed(s, 2),
+    TotalCapRule(2): lambda s: len(s) <= 2,
+    None: lambda s: True,
+    WindowRule(0, "min"): lambda s: window_allowed(s, 0, "min"),
+    GentileRule(1): lambda s: gentile_allowed(s, 1),
+    GentileRule(3): lambda s: gentile_allowed(s, 3),
+    TotalCapRule(5): lambda s: len(s) <= 5,
+    CSRule(4, 1): lambda s: cs_allowed(s, 4, 1),
+    XFermiRule((6,)): lambda s: x_allowed(s, (6,)),
+    CSRule(0, 1): lambda s: cs_allowed(s, 0, 1),
+    XFermiRule((2,)): lambda s: x_allowed(s, (2,)),
+    XBoseRule((1, 2)): lambda s: x_bose_allowed(s, (1, 2)),
+    WindowRule(3, "max"): lambda s: window_allowed(s, 3, "max"),
+}
+
+
+@pytest.mark.parametrize("rule,predicate", list(RULE_PREDICATES.items()))
 def test_enumeration_matches_brute_filter(rule, predicate):
-    for m in range(1, 7):
-        for n in range(4):
+    for m in range(1, 8):
+        for n in range(5):
             expected = filter_states(brute_states(m, n), predicate)
             assert enumerate_allowed(m, n, rule) == expected
 
@@ -180,21 +194,19 @@ def test_frozen_enumeration_example():
     ]
 
 
+# listed first in this order, which keeps their test ids
+_COUNT_RULES = [None, CSRule(1, 2), CSRule(0, 1), XFermiRule((2,)), XBoseRule((1, 2)),
+                WindowRule(2, "min"), WindowRule(3, "max"), GentileRule(2), TotalCapRule(2)]
+
+
 @pytest.mark.parametrize(
-    "rule",
-    [None, CSRule(1, 2), CSRule(0, 1), XFermiRule((2,)), XBoseRule((1, 2)),
-     WindowRule(2, "min"), WindowRule(3, "max"), GentileRule(2),
-     TotalCapRule(2)],
-)
+    "rule", _COUNT_RULES + [rule for rule in RULE_PREDICATES if rule not in _COUNT_RULES])
 def test_count_allowed_words_matches_brute_force(rule):
-    for m in range(1, 5):
-        for n in range(4):
+    predicate = RULE_PREDICATES[rule]
+    for m in range(1, 8):
+        for n in range(5):
             words = brute_words(m, n)
-            if rule is None:
-                expected = len(words)
-            else:
-                expected = sum(1 for w in words if rule.allows(w))
-            assert count_allowed_words(m, n, rule) == expected
+            assert count_allowed_words(m, n, rule) == sum(map(predicate, words))
 
 
 @given(st.integers(1, 6), st.integers(0, 3), st.integers(1, 3), st.integers(1, 3))

@@ -103,18 +103,6 @@ def parse_sides(text: str) -> list[str]:
     return sides
 
 
-# Grid option (by destination) -> parser of its command-line or config text.
-_GRID_OPTIONS = {
-    **dict.fromkeys(("M", "N", "p", "q", "m", "i1", "n", "k", "nlast", "pattern",
-                     "multiset", "filling"), parse_int_values),
-    "x_set": parse_int_set,
-    "g": parse_frac_values,
-    "lam": parse_frac_values,
-    "L": parse_float_values,
-    "side": parse_sides,
-}
-
-
 # How each cell type the commands emit is written into CSV; bool comes
 # before int, because a bool is also an int.
 _CELL_FORMATS = {
@@ -607,70 +595,59 @@ def run_verify(args) -> tuple[list[str], list[tuple], int]:
 
 # ----------------------------------------------------------------- main ---
 
-def _add_common(sub) -> None:
-    sub.add_argument("--config", help="JSON file predefining options")
-    sub.add_argument("--format", choices=("csv", "json"), default=None)
-    sub.add_argument("--out", default=None, help="write output to this path")
-    sub.add_argument("--cap", type=int, default=None,
-                     help="max enumeration candidates per grid point")
+# The add_argument keywords of options that several commands take.
+_INTS = {"type": parse_int_values}
+_X_SET = {"type": parse_int_set}
+_LAMBDA = {"dest": "lam", "type": parse_frac_values}
 
+# The options every command takes, after its own.
+_COMMON = {
+    "config": {"help": "JSON file predefining options"},
+    "format": {"choices": ("csv", "json"), "default": "csv"},
+    "out": {"help": "write output to this path"},
+    "cap": {"type": int, "default": DEFAULT_CANDIDATE_CAP,
+            "help": "max enumeration candidates per grid point"},
+}
 
-def _grid_options(sub, *flags) -> None:
-    for flag in flags:
-        dest = "lam" if flag == "--lambda" else flag[2:].replace("-", "_")
-        sub.add_argument(flag, dest=dest, type=_GRID_OPTIONS[dest], default=None)
-
-
-def _count_options(sub) -> None:
-    sub.add_argument("--family", choices=COUNT_FAMILIES, required=True)
-    _grid_options(sub, "--M", "--N", "--p", "--q", "--m", "--g", "--lambda", "--x-set")
-    sub.add_argument("--oracle", action="store_true", default=None,
-                     help="compare each value against the enumerated count")
-
-
-_RULE_FLAGS = ("--M", "--N", "--p", "--q", "--m", "--x-set")
-
-
-def _enumerate_options(sub) -> None:
-    sub.add_argument("--family", choices=RULES)
-    _grid_options(sub, *_RULE_FLAGS)
-
-
-def _gram_options(sub) -> None:
-    _grid_options(sub, "--multiset")
-    sub.add_argument("--alg", help="bose, fermi or quon:Q (e.g. quon:1/2)")
-    sub.add_argument("--rule-family", choices=RULES, default=None)
-    _grid_options(sub, *_RULE_FLAGS)
-
-
-def _params_options(sub) -> None:
-    sub.add_argument("--family", choices=PARAM_FAMILIES, required=True)
-    _grid_options(sub, "--M", "--N", "--p", "--q", "--i1", "--n", "--k", "--m",
-                  "--nlast", "--pattern")
-    sub.add_argument("--side", type=parse_sides, help="left, right or left,right")
-    sub.add_argument("--oracle", action="store_true", default=None,
-                     help="compare against the definitional dimension count")
-
-
-def _spectrum_options(sub) -> None:
-    _grid_options(sub, "--N", "--lambda", "--L", "--filling")
-    sub.add_argument("--anchor", choices=("symmetric", "literal"))
-
-
-def _verify_options(sub) -> None:
-    sub.add_argument("--all", action="store_true", default=None)
-    sub.add_argument("--kind", action="append", default=None,
-                     help="run one named check (repeatable)")
-
-
-# command -> (help, options, runner), in the order `--help` lists them
+# command -> (help, options, runner), in the order `--help` lists them. Each
+# option maps its long name to its add_argument keywords, in help order; a
+# default there applies once the command line and config file are read.
 COMMANDS = {
-    "count": ("closed-form counting sweeps", _count_options, run_count),
-    "enumerate": ("list allowed canonical states", _enumerate_options, run_enumerate),
-    "gram": ("Gram dimensions and exact ranks", _gram_options, run_gram),
-    "params": ("exclusion-statistics parameters", _params_options, run_params),
-    "spectrum": ("ring-model pseudomomentum spectra", _spectrum_options, run_spectrum),
-    "verify": ("self-check identity suite", _verify_options, run_verify),
+    "count": ("closed-form counting sweeps", {
+        "family": {"choices": COUNT_FAMILIES, "required": True},
+        "M": _INTS, "N": _INTS, "p": _INTS, "q": _INTS, "m": _INTS,
+        "g": {"type": parse_frac_values}, "lambda": _LAMBDA, "x-set": _X_SET,
+        "oracle": {"action": "store_true",
+                   "help": "compare each value against the enumerated count"},
+    }, run_count),
+    "enumerate": ("list allowed canonical states", {
+        "family": {"choices": RULES, "default": "none"},
+        "M": _INTS, "N": _INTS, "p": _INTS, "q": _INTS, "m": _INTS, "x-set": _X_SET,
+    }, run_enumerate),
+    "gram": ("Gram dimensions and exact ranks", {
+        "multiset": _INTS,
+        "alg": {"default": "quon:0", "help": "bose, fermi or quon:Q (e.g. quon:1/2)"},
+        "rule-family": {"choices": RULES},
+        "M": _INTS, "N": _INTS, "p": _INTS, "q": _INTS, "m": _INTS, "x-set": _X_SET,
+    }, run_gram),
+    "params": ("exclusion-statistics parameters", {
+        "family": {"choices": PARAM_FAMILIES, "required": True},
+        "M": _INTS, "N": _INTS, "p": _INTS, "q": _INTS, "i1": _INTS, "n": _INTS,
+        "k": _INTS, "m": _INTS, "nlast": _INTS, "pattern": _INTS,
+        "side": {"type": parse_sides, "default": ["right"],
+                 "help": "left, right or left,right"},
+        "oracle": {"action": "store_true",
+                   "help": "compare against the definitional dimension count"},
+    }, run_params),
+    "spectrum": ("ring-model pseudomomentum spectra", {
+        "N": _INTS, "lambda": _LAMBDA, "L": {"type": parse_float_values},
+        "filling": _INTS,
+        "anchor": {"choices": ("symmetric", "literal"), "default": "symmetric"},
+    }, run_spectrum),
+    "verify": ("self-check identity suite", {
+        "all": {"action": "store_true"},
+        "kind": {"action": "append", "help": "run one named check (repeatable)"},
+    }, run_verify),
 }
 
 
@@ -684,29 +661,21 @@ def build_parser(commands: Iterable[str] = COMMANDS) -> argparse.ArgumentParser:
         epilog=EPILOG,
     )
     subs = parser.add_subparsers(dest="command", required=True, prog="fockcount")
-    for name in commands:
-        help_text, add_options, _ = COMMANDS[name]
-        sub = subs.add_parser(name, help=help_text)
-        add_options(sub)
-        _add_common(sub)
+    for command in commands:
+        sub = subs.add_parser(command, help=COMMANDS[command][0])
+        for name, spec in {**COMMANDS[command][1], **_COMMON}.items():
+            # None marks an option unset; _apply_config fills in its default
+            sub.add_argument(f"--{name}", **{**spec, "default": None})
     return parser
 
 
-# Defaults of the options a config file may set, each applied only on the
-# commands that have the option (enumerate's family; count and params
-# require theirs).
-_CONFIG_DEFAULTS = {
-    "format": "csv", "cap": DEFAULT_CANDIDATE_CAP, "side": ["right"],
-    "alg": "quon:0", "anchor": "symmetric", "family": "none",
-}
-
-
-def _config_value(action, key: str, raw):
-    """A config file value, converted and checked by its option's action as
-    the same text on the command line would be. A list is its entries
-    joined with ",", or one entry per use of a repeatable option; a flag
-    takes only true or false."""
-    if action.nargs == 0:
+def _config_value(spec: dict, key: str, raw):
+    """A config file value, converted and checked by its option's type and
+    choices as the same text on the command line would be. A list is its
+    entries joined with ",", or one entry per use of a repeatable option; a
+    flag takes only true or false."""
+    action = spec.get("action")
+    if action == "store_true":
         if not isinstance(raw, bool):
             raise ValueError(f"config key {key!r} must be true or false, got {raw!r}")
         return raw
@@ -715,51 +684,45 @@ def _config_value(action, key: str, raw):
                             for v in items):
         raise ValueError(
             f"config key {key!r} must be a string, a number or a list of them, got {raw!r}")
-    repeated = isinstance(action, argparse._AppendAction)
+    repeated = action == "append"
     texts = [str(v) for v in items] if repeated else [",".join(map(str, items))]
-    values = [action.type(text) if action.type else text for text in texts]
+    parse = spec.get("type", str)
+    values = [parse(text) for text in texts]
+    choices = spec.get("choices")
     for value in values:
-        if action.choices is not None and value not in action.choices:
+        if choices is not None and value not in choices:
             raise ValueError(f"config key {key!r}: invalid choice {value!r} "
-                             f"(choose from {', '.join(action.choices)})")
+                             f"(choose from {', '.join(choices)})")
     return values if repeated else values[0]
-
-
-def _option_actions(command: str) -> dict:
-    """The argparse action of each option of a command, by destination."""
-    sub = argparse.ArgumentParser(add_help=False)
-    COMMANDS[command][1](sub)
-    _add_common(sub)
-    return {action.dest: action for action in sub._actions}
 
 
 def _apply_config(args) -> None:
     """Fill unset options from the JSON config file, then from defaults.
 
-    A key that is an option of another command is skipped, so one file can
-    serve several commands; a key that no command has is an error.
+    A config key is a long option name, with "-" or "_". A key that is an
+    option of another command is skipped, so one file can serve several
+    commands; a key that no command has is an error.
     """
-    if getattr(args, "config", None):
+    options = {**COMMANDS[args.command][1], **_COMMON}
+    dests = {name: spec.get("dest", name.replace("-", "_")) for name, spec in options.items()}
+    if args.config:
         import json
 
         with open(args.config, "r", encoding="utf-8") as fh:
             loaded = json.load(fh)
         if not isinstance(loaded, dict):
             raise ValueError("config file must hold a JSON object")
-        actions = _option_actions(args.command)
         for key, raw in loaded.items():
-            dest = key.replace("-", "_")
-            if dest == "lambda":
-                dest = "lam"
-            if dest not in actions:
-                if not any(dest in _option_actions(name) for name in COMMANDS):
+            name = key.replace("_", "-")
+            if name not in options:
+                if not any(name in COMMANDS[command][1] for command in COMMANDS):
                     raise ValueError(f"unknown config key {key!r}")
                 continue
-            if getattr(args, dest) is None:
-                setattr(args, dest, _config_value(actions[dest], key, raw))
-    for key, default in _CONFIG_DEFAULTS.items():
-        if key in vars(args) and getattr(args, key) is None:
-            setattr(args, key, default)
+            if getattr(args, dests[name]) is None:
+                setattr(args, dests[name], _config_value(options[name], key, raw))
+    for name, spec in options.items():
+        if getattr(args, dests[name]) is None:
+            setattr(args, dests[name], spec.get("default"))
 
 
 def main(argv=None) -> int:
@@ -771,10 +734,7 @@ def main(argv=None) -> int:
     try:
         _apply_config(args)
         header, rows, failures = COMMANDS[args.command][2](args)
-    except CapacityExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as exc:
+    except (CapacityExceededError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     text = render(header, rows, args.format)

@@ -194,9 +194,10 @@ def enumerate_allowed(
     Words grow one site per level: each word of a level, in order, is
     extended by the successors of its last site (`_successors`, canonical),
     so every level stays in lexicographic order. For an AdjacentPairRule the
-    successor lists are the rule, and every finished word passes it. Any
-    other rule prunes each extension through its `_extension_ok` hook and
-    checks the finished words with `allows`.
+    successor lists are the rule, and every finished word passes it; a
+    TotalCapRule passes every word or none. Any other rule prunes each
+    extension through its `_extension_ok` hook and checks the finished
+    words with `allows`.
     """
     if n_sites < 1:
         raise ValueError(f"need at least one site, got {n_sites}")
@@ -209,6 +210,11 @@ def enumerate_allowed(
             f"{comb(n_sites + n_particles - 1, n_particles)} candidate states "
             f"for {n_particles} particles on {n_sites} sites exceeds cap {cap}"
         )
+    if isinstance(rule, TotalCapRule):
+        # The cap reads only a word's length: every word passes, or none.
+        if n_particles > rule.cap:
+            return []
+        rule = None
     if n_particles == 0:
         return [()] if is_allowed((), rule) else []
 

@@ -4,6 +4,7 @@ import csv
 import hashlib
 import io
 import json
+import re
 import shlex
 import subprocess
 import sys
@@ -17,6 +18,7 @@ from fockcount.cli import (
     COUNT_FAMILIES,
     PARAM_FAMILIES,
     RULES,
+    _apply_config,
     build_parser,
     format_cell,
     main,
@@ -491,6 +493,75 @@ def test_config_kind_takes_one_entry_per_check(tmp_path, capsys):
     assert _run_with_config(kinds, ["verify"], tmp_path, capsys) == expected
     single = run_cli(["verify", "--kind", "binom-identity"], capsys)
     assert _run_with_config({"kind": "binom-identity"}, ["verify"], tmp_path, capsys) == single
+
+
+# Each command's option strings in the order its --help lists them.
+HELP_OPTIONS = {
+    "count": ["--help", "--family", "--M", "--N", "--p", "--q", "--m", "--g", "--lambda",
+              "--x-set", "--oracle", "--config", "--format", "--out", "--cap"],
+    "enumerate": ["--help", "--family", "--M", "--N", "--p", "--q", "--m", "--x-set",
+                  "--config", "--format", "--out", "--cap"],
+    "gram": ["--help", "--multiset", "--alg", "--rule-family", "--M", "--N", "--p", "--q",
+             "--m", "--x-set", "--config", "--format", "--out", "--cap"],
+    "params": ["--help", "--family", "--M", "--N", "--p", "--q", "--i1", "--n", "--k", "--m",
+               "--nlast", "--pattern", "--side", "--oracle", "--config", "--format", "--out",
+               "--cap"],
+    "spectrum": ["--help", "--N", "--lambda", "--L", "--filling", "--anchor", "--config",
+                 "--format", "--out", "--cap"],
+    "verify": ["--help", "--all", "--kind", "--config", "--format", "--out", "--cap"],
+}
+
+
+@pytest.mark.parametrize("command", list(COMMANDS))
+def test_help_lists_each_option_in_order(command, capsys):
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    options = capsys.readouterr().out.split("\noptions:\n", 1)[1]
+    assert re.findall(r"^  (?:-h, )?(--[\w-]+)", options, re.M) == HELP_OPTIONS[command]
+
+
+# A value of each option that differs from its default, as a config file
+# gives it: text, True for a flag without text, a list for a repeatable flag.
+OPTION_VALUES = {
+    "family": "cs", "M": "2..4", "N": "1,3", "p": "2", "q": "1", "m": "3", "g": "1/2",
+    "lambda": "1/2,1", "x-set": "3,1", "i1": "1..2", "n": "2", "k": "1", "nlast": "4",
+    "pattern": "2,0,1", "multiset": "1,2,2", "L": "6.5,7", "filling": "0,1",
+    "side": "left,right", "alg": "quon:1/2", "rule-family": "cs", "anchor": "literal",
+    "format": "json", "out": "rows.csv", "cap": "10", "oracle": True, "all": True,
+    "kind": ["binom-identity", "cs-average"],
+}
+# The options a command requires, which therefore come from its command line.
+REQUIRED = {"count": ["--family", "cs"], "params": ["--family", "cs-finite"]}
+CONFIG_CASES = [
+    (command, option[2:], key)
+    for command, options in HELP_OPTIONS.items()
+    for option in options
+    if option not in ("--help", "--config", *REQUIRED.get(command, []))
+    for key in sorted({option[2:], option[2:].replace("-", "_")})
+]
+
+
+def _namespace(argv):
+    args = build_parser(argv[:1]).parse_args(argv)
+    _apply_config(args)
+    return {dest: value for dest, value in vars(args).items() if dest != "config"}
+
+
+@pytest.mark.parametrize("command, option, key", CONFIG_CASES,
+                         ids=[f"{c}-{k}" for c, _, k in CONFIG_CASES])
+def test_config_value_equals_the_same_text_as_a_flag(command, option, key, tmp_path):
+    value = OPTION_VALUES[option]
+    if value is True:
+        flags = [f"--{option}"]
+    else:
+        flags = [arg for text in (value if isinstance(value, list) else [value])
+                 for arg in (f"--{option}", text)]
+    argv = [command, *REQUIRED.get(command, [])]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: value}))
+    from_config = _namespace([*argv, "--config", str(cfg)])
+    assert from_config == _namespace([*argv, *flags])
+    assert from_config != _namespace(argv)
 
 
 # Every count and params family, each grid defined at every point. The

@@ -186,6 +186,11 @@ def test_enumeration_capacity_guard():
         enumerate_allowed(100, 50, None, cap=1000)
 
 
+def test_total_cap_enumeration_keeps_the_capacity_guard():
+    with pytest.raises(CapacityExceededError):
+        enumerate_allowed(100, 50, TotalCapRule(5), cap=1000)
+
+
 def test_frozen_enumeration_example():
     states = enumerate_allowed(6, 2, CSRule(1, 2))
     assert states == [

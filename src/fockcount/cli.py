@@ -60,6 +60,7 @@ from .restrictions import (
     WindowRule,
     XBoseRule,
     XFermiRule,
+    count_allowed_states,
     enumerate_allowed,
 )
 
@@ -181,10 +182,11 @@ def _rule_from_args(family: str, args):
 
 def _single(args, name: str):
     values = getattr(args, name, None)
+    flag = _flags(args.command)[name]
     if not values:
-        raise ValueError(f"option --{name.replace('_', '-')} is required here")
+        raise ValueError(f"option --{flag} is required here")
     if len(values) > 1:
-        raise ValueError(f"option --{name.replace('_', '-')} takes a single value here")
+        raise ValueError(f"option --{flag} takes a single value here")
     return values[0]
 
 
@@ -192,7 +194,7 @@ def _require(args, *names) -> None:
     for name in names:
         if getattr(args, name, None) in (None, []):
             scope = f"family {args.family!r}" if "family" in vars(args) else args.command
-            raise ValueError(f"--{name.replace('_', '-')} is required for {scope}")
+            raise ValueError(f"--{_flags(args.command)[name]} is required for {scope}")
 
 
 # ---------------------------------------------------------------- count ---
@@ -204,11 +206,6 @@ def _gram_count(alg):
 
 # For q = 0 quons the Gram route counts the allowed words.
 _WORDS = _gram_count(quon(0))
-
-
-def _canonical_count(m, n, rule, cap) -> int:
-    """The number of canonical (sorted) states the rule allows."""
-    return len(enumerate_allowed(m, n, rule, cap=cap))
 
 
 def _integer_gap(coupling: Fraction) -> CSRule | None:
@@ -236,8 +233,8 @@ COUNT_FAMILIES = {
                    "capped-binomial", TotalCapRule, _gram_count(fermi())),
     "para-bose": (("p",), lambda m, n, p: count_para_restricted(m, n, p, "bose"),
                   "capped-binomial", TotalCapRule, _gram_count(bose())),
-    "window-min": (("p",), count_window_min, "min-window-binomial",
-                   RULES["window-min"][1], _canonical_count),
+    "window-min": (("p",), count_window_min, "min-window-binomial", RULES["window-min"][1],
+                   lambda m, n, rule, cap: count_allowed_states(m, n, rule)),
 }
 
 # Output column of an option, where it differs from the option's name.
@@ -696,6 +693,12 @@ def _config_value(spec: dict, key: str, raw):
     return values if repeated else values[0]
 
 
+def _flags(command: str) -> dict[str, str]:
+    """Each argparse dest of the command, mapped to its long option name."""
+    options = {**COMMANDS[command][1], **_COMMON}
+    return {spec.get("dest", name.replace("-", "_")): name for name, spec in options.items()}
+
+
 def _apply_config(args) -> None:
     """Fill unset options from the JSON config file, then from defaults.
 
@@ -704,7 +707,7 @@ def _apply_config(args) -> None:
     commands; a key that no command has is an error.
     """
     options = {**COMMANDS[args.command][1], **_COMMON}
-    dests = {name: spec.get("dest", name.replace("-", "_")) for name, spec in options.items()}
+    dests = {name: dest for dest, name in _flags(args.command).items()}
     if args.config:
         import json
 

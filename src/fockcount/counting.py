@@ -19,6 +19,7 @@ from .restrictions import (
     DEFAULT_CANDIDATE_CAP,
     CapacityExceededError,
     RestrictionRule,
+    _check_sizes,
     count_allowed_words,
 )
 
@@ -265,10 +266,7 @@ def count_enumerated(
     words, so the sum of ranks equals the number of allowed words and is
     computed directly; other algebras take the explicit Gram-rank route.
     """
-    if n_sites < 1:
-        raise ValueError(f"need at least one site, got {n_sites}")
-    if n_particles < 0:
-        raise ValueError(f"particle number must be >= 0, got {n_particles}")
+    _check_sizes(n_sites, n_particles)
     if n_particles == 0:
         return 1
     if alg is None:

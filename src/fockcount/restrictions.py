@@ -36,10 +36,6 @@ class RestrictionRule(Frozen):
     def allows(self, state: MonomialState) -> bool:
         raise NotImplementedError
 
-    # Pruning hook for the canonical-state search; prefix is non-decreasing.
-    def _extension_ok(self, prefix, site: int) -> bool:
-        return True
-
 
 class AdjacentPairRule(RestrictionRule):
     """Rule constraining every adjacent ordered pair of the word."""
@@ -134,14 +130,6 @@ class GentileRule(RestrictionRule):
             return True
         return max(Counter(state).values()) <= self.max_occupancy
 
-    def _extension_ok(self, prefix, site: int) -> bool:
-        run = 0
-        for idx in reversed(prefix):
-            if idx != site:
-                break
-            run += 1
-        return run < self.max_occupancy
-
 
 class TotalCapRule(RestrictionRule):
     """At most cap particles in total, any placement."""
@@ -161,23 +149,43 @@ def is_allowed(state: MonomialState, rule: RestrictionRule | None) -> bool:
     return rule is None or rule.allows(state)
 
 
+def _check_sizes(n_sites: int, n_particles: int) -> None:
+    if n_sites < 1:
+        raise ValueError(f"need at least one site, got {n_sites}")
+    if n_particles < 0:
+        raise ValueError(f"particle number must be >= 0, got {n_particles}")
+
+
 def _successors(
     n_sites: int, rule: RestrictionRule | None, canonical: bool
 ) -> list[Sequence[int]]:
-    """The site table: entry j (for sites 1..M; entry 0 is empty) lists the
-    sites that may follow site j in a word, in increasing order.
+    """The site table: entry j lists the sites that may follow site j in a
+    word, in increasing order, and entry 0 the sites a word may start with.
 
     Canonical words take only sites k >= j. An AdjacentPairRule keeps the k
-    with pair_allowed(j, k); every other rule reads the word as a whole and
-    keeps every k.
+    with pair_allowed(j, k); every other rule keeps every k.
     """
-    table: list[Sequence[int]] = [()]
+    table: list[Sequence[int]] = [range(1, n_sites + 1)]
     for j in range(1, n_sites + 1):
         sites = range(j if canonical else 1, n_sites + 1)
         if isinstance(rule, AdjacentPairRule):
             sites = [k for k in sites if rule.pair_allowed(j, k)]
         table.append(sites)
     return table
+
+
+def _count_by_last_site(n_particles: int, successors: list[Sequence[int]]) -> int:
+    """Number of words of n_particles sites that follow the site table."""
+    # counts[j]: the words of the current length that end at site j (0: empty)
+    counts = [1] + [0] * (len(successors) - 1)
+    for _ in range(n_particles):
+        extended = [0] * len(successors)
+        for j, ways in enumerate(counts):
+            if ways:
+                for k in successors[j]:
+                    extended[k] += ways
+        counts = extended
+    return sum(counts)
 
 
 def enumerate_allowed(
@@ -194,15 +202,11 @@ def enumerate_allowed(
     Words grow one site per level: each word of a level, in order, is
     extended by the successors of its last site (`_successors`, canonical),
     so every level stays in lexicographic order. For an AdjacentPairRule the
-    successor lists are the rule, and every finished word passes it; a
-    TotalCapRule passes every word or none. Any other rule prunes each
-    extension through its `_extension_ok` hook and checks the finished
-    words with `allows`.
+    successor lists are the rule; a TotalCapRule passes every word or none;
+    a GentileRule drops each extension to m + 1 copies of one site. Any
+    other rule raises TypeError.
     """
-    if n_sites < 1:
-        raise ValueError(f"need at least one site, got {n_sites}")
-    if n_particles < 0:
-        raise ValueError(f"particle number must be >= 0, got {n_particles}")
+    _check_sizes(n_sites, n_particles)
     if cap < 1:
         raise ValueError(f"cap must be positive, got {cap}")
     if comb(n_sites + n_particles - 1, n_particles) > cap:
@@ -215,21 +219,37 @@ def enumerate_allowed(
         if n_particles > rule.cap:
             return []
         rule = None
+    elif rule is not None and not isinstance(rule, (AdjacentPairRule, GentileRule)):
+        raise TypeError(f"unsupported rule type {type(rule).__name__}")
     if n_particles == 0:
-        return [()] if is_allowed((), rule) else []
+        return [()]
 
     words: list[MonomialState] = [(j,) for j in range(1, n_sites + 1)]
     # One-site words extend nothing; only longer ones need the table, whose
     # M^2 / 2 entries then stay below the candidate count.
     successors = _successors(n_sites, rule, canonical=True) if n_particles > 1 else None
-    if rule is None or isinstance(rule, AdjacentPairRule):
+    if not isinstance(rule, GentileRule):
         for _ in range(n_particles - 1):
             words = [w + (k,) for w in words for k in successors[w[-1]]]
         return words
+    m = rule.max_occupancy
+    # A sorted word w ends in m copies of k >= w[-1] exactly when w[-m] == k.
     for _ in range(n_particles - 1):
         words = [w + (k,) for w in words for k in successors[w[-1]]
-                 if rule._extension_ok(w, k)]
-    return [w for w in words if rule.allows(w)]
+                 if len(w) < m or w[-m] != k]
+    return words
+
+
+def count_allowed_states(
+    n_sites: int, n_particles: int, rule: AdjacentPairRule | None = None
+) -> int:
+    """Number of canonical (sorted) states passing a gap rule, or no rule:
+    the length of `enumerate_allowed`'s list, counted on the same site table
+    with no listing and no candidate cap. Other rules raise TypeError."""
+    _check_sizes(n_sites, n_particles)
+    if rule is not None and not isinstance(rule, AdjacentPairRule):
+        raise TypeError(f"unsupported rule type {type(rule).__name__}")
+    return _count_by_last_site(n_particles, _successors(n_sites, rule, canonical=True))
 
 
 def count_allowed_words(
@@ -240,12 +260,7 @@ def count_allowed_words(
     This is the dimension of the projected N-particle space for the q = 0
     quon algebra, whose unprojected Gram matrix is the identity on words.
     """
-    if n_sites < 1:
-        raise ValueError(f"need at least one site, got {n_sites}")
-    if n_particles < 0:
-        raise ValueError(f"particle number must be >= 0, got {n_particles}")
-    if n_particles == 0:
-        return 1
+    _check_sizes(n_sites, n_particles)
     if rule is None:
         return n_sites**n_particles
     if isinstance(rule, TotalCapRule):
@@ -264,15 +279,5 @@ def count_allowed_words(
             dp = new
         return dp[n_particles]
     if isinstance(rule, AdjacentPairRule):
-        successors = _successors(n_sites, rule, canonical=False)
-        # counts[j]: the words of the current length that end at site j
-        counts = [0] + [1] * n_sites
-        for _ in range(n_particles - 1):
-            extended = [0] * (n_sites + 1)
-            for j, ways in enumerate(counts):
-                if ways:
-                    for k in successors[j]:
-                        extended[k] += ways
-            counts = extended
-        return sum(counts)
+        return _count_by_last_site(n_particles, _successors(n_sites, rule, canonical=False))
     raise TypeError(f"unsupported rule type {type(rule).__name__}")

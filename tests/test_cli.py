@@ -210,6 +210,22 @@ def test_missing_x_set_is_a_clean_error(argv, capsys):
     assert err == "error: option --x-set is required here\n"
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [(["spectrum", "--N", "2", "--L", "6"], "--lambda is required for spectrum"),
+     (["count", "--family", "real", "--M", "3", "--N", "1"],
+      "--lambda is required for family 'real'"),
+     (["count", "--family", "x-fermi", "--M", "3", "--N", "1"],
+      "--x-set is required for family 'x-fermi'")],
+    ids=["spectrum-lambda", "count-lambda", "count-x-set"],
+)
+def test_missing_option_is_named_by_its_flag(argv, message, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_gram_without_multiset_or_grid_is_a_clean_error(capsys):
     code, out, err = run_cli(["gram", "--alg", "fermi"], capsys)
     assert code == 2
@@ -728,6 +744,16 @@ def test_window_min_oracle_counts_canonical_states(capsys):
     header, rows = parse_csv(out)
     assert len(rows) == 64
     assert all(r[header.index("agrees")] == "true" for r in rows)
+
+
+def test_window_min_oracle_lists_nothing_so_the_cap_does_not_apply(capsys):
+    code, out, err = run_cli(
+        ["count", "--family", "window-min", "--M", "8", "--N", "2", "--p", "1",
+         "--oracle", "--cap", "10"],
+        capsys,
+    )
+    assert code == 0, err
+    assert out.splitlines()[1] == "window-min,8,2,1,28,min-window-binomial,28,true"
 
 
 def test_window_min_of_width_zero_has_an_oracle(capsys):

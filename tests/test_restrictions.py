@@ -5,14 +5,18 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from fockcount.counting import count_gentile
 from fockcount.restrictions import (
+    AdjacentPairRule,
     CSRule,
     CapacityExceededError,
     GentileRule,
+    RestrictionRule,
     TotalCapRule,
     WindowRule,
     XBoseRule,
     XFermiRule,
+    count_allowed_states,
     count_allowed_words,
     enumerate_allowed,
     is_allowed,
@@ -161,12 +165,39 @@ def test_enumeration_matches_brute_filter(rule, predicate):
         for n in range(5):
             expected = filter_states(brute_states(m, n), predicate)
             assert enumerate_allowed(m, n, rule) == expected
+            if rule is None or isinstance(rule, AdjacentPairRule):
+                assert count_allowed_states(m, n, rule) == len(expected)
+            else:
+                with pytest.raises(TypeError):
+                    count_allowed_states(m, n, rule)
 
 
 def test_enumeration_is_sorted_and_canonical():
     states = enumerate_allowed(8, 3, CSRule(1, 2))
     assert states == sorted(states)
     assert all(s == tuple(sorted(s)) for s in states)
+
+
+@pytest.mark.parametrize("m,n,most", [(31, 4, 1), (20, 6, 1)])
+def test_gentile_listing_matches_the_closed_form(m, n, most):
+    states = enumerate_allowed(m, n, GentileRule(most))
+    assert states == sorted(states)
+    assert all(s == tuple(sorted(s)) for s in states)
+    assert len(states) == count_gentile(m, n, most)
+
+
+def test_rule_of_no_supported_type_is_refused():
+    class EveryWord(RestrictionRule):
+        __slots__ = ()
+
+        def allows(self, state):
+            return True
+
+    for n in (0, 1, 3):
+        with pytest.raises(TypeError, match="EveryWord"):
+            enumerate_allowed(4, n, EveryWord())
+        with pytest.raises(TypeError, match="EveryWord"):
+            count_allowed_states(4, n, EveryWord())
 
 
 def test_enumeration_free_case_counts():

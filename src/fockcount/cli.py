@@ -13,6 +13,7 @@ order.
 import argparse
 import csv
 import io
+import os
 import sys
 from collections.abc import Iterable
 from fractions import Fraction
@@ -648,10 +649,29 @@ COMMANDS = {
 }
 
 
+def _help_formatter(prog: str) -> argparse.HelpFormatter:
+    """argparse's stock help formatter, sized as it sizes itself: two columns
+    short of shutil.get_terminal_size().columns. The width is read here
+    through os, because without a width the formatter imports shutil (and
+    bz2, lzma, zlib and fnmatch with it), and argparse builds one formatter
+    per add_argument."""
+    try:
+        columns = int(os.environ["COLUMNS"])
+    except (KeyError, ValueError):
+        columns = 0
+    if columns <= 0:
+        try:
+            columns = os.get_terminal_size(sys.__stdout__.fileno()).columns
+        except (AttributeError, ValueError, OSError):
+            columns = 0
+    return argparse.HelpFormatter(prog, width=(columns or 80) - 2)
+
+
 def build_parser(commands: Iterable[str] = COMMANDS) -> argparse.ArgumentParser:
     """The argument parser with a subparser for each named command."""
     parser = argparse.ArgumentParser(
         prog="fockcount",
+        formatter_class=_help_formatter,
         # names every command even when only one subparser is built
         usage="%(prog)s [-h] {" + ",".join(COMMANDS) + "} ...",
         description="Exact state counting for restricted oscillator algebras.",
@@ -659,7 +679,8 @@ def build_parser(commands: Iterable[str] = COMMANDS) -> argparse.ArgumentParser:
     )
     subs = parser.add_subparsers(dest="command", required=True, prog="fockcount")
     for command in commands:
-        sub = subs.add_parser(command, help=COMMANDS[command][0])
+        sub = subs.add_parser(command, help=COMMANDS[command][0],
+                              formatter_class=_help_formatter)
         for name, spec in {**COMMANDS[command][1], **_COMMON}.items():
             # None marks an option unset; _apply_config fills in its default
             sub.add_argument(f"--{name}", **{**spec, "default": None})

@@ -15,9 +15,11 @@ matrix evaluates one value per distinct histogram and relabels the words;
 a rule zeroes the rows and columns of the words it kills. Ranks read
 integers scaled by den(q)^(N(N-1)/2) from the live submatrix and are
 cached per (canonical word, q, live-word mask), so relabelled sectors and
-the repeated sectors of one-particle dimensions are ranked once; the
-live-word mask comes from the orbit alone, so a cached rank needs no Gram
-structure.
+the repeated sectors of one-particle dimensions are ranked once. The
+live-word mask needs no Gram structure either: a gap rule's comes from the
+canonical orbit and the letter pairs the rule bans, cached per (canonical
+word, banned pairs), and any other rule's from testing each relabelled
+word.
 
 Ranks and determinants share one exact kernel over the integers. The
 matrix is scaled to integers by the common denominator of its entries, and
@@ -47,7 +49,7 @@ from .algebra_engine import (
     letter_names,
     scaled_polynomial,
 )
-from .restrictions import CapacityExceededError, RestrictionRule, is_allowed
+from .restrictions import AdjacentPairRule, CapacityExceededError, RestrictionRule, is_allowed
 
 # Largest permutation orbit a Gram matrix is built for: 6! = 720 words.
 MAX_ORBIT_WORDS = 720
@@ -260,6 +262,14 @@ def _canonical_orbit(word: MonomialState) -> tuple[MonomialState, ...]:
     return permutation_orbit(word)
 
 
+@lru_cache(maxsize=1024)
+def _pair_mask(word: MonomialState, banned: frozenset[tuple[int, int]]) -> int:
+    """Bits of the canonical orbit's words with no adjacent letter pair in
+    banned."""
+    return sum(1 << i for i, w in enumerate(_canonical_orbit(word))
+               if banned.isdisjoint(zip(w, w[1:])))
+
+
 @lru_cache(maxsize=32)
 def _shape_gram(
     word: MonomialState,
@@ -322,6 +332,21 @@ def _sector_rank(word: MonomialState, q: Fraction, live_mask: int) -> int:
     return rational_rank([[values[classes[i][j]] for j in live] for i in live])
 
 
+def _live_mask(word: MonomialState, letters: tuple[int, ...],
+               rule: RestrictionRule | None) -> int:
+    """Bits of the canonical orbit's words whose relabelled words pass the
+    rule."""
+    if rule is None:
+        return (1 << len(_canonical_orbit(word))) - 1
+    if isinstance(rule, AdjacentPairRule):
+        # A gap rule allows a word exactly when it allows each adjacent pair.
+        banned = frozenset([(a, b) for a, x in enumerate(letters) for b, y in enumerate(letters)
+                            if not rule.pair_allowed(x, y)])
+        return _pair_mask(word, banned)
+    states = _relabelled(_canonical_orbit(word), letters)
+    return sum(1 << i for i, s in enumerate(states) if rule.allows(s))
+
+
 def sector_dimension(
     indices: Iterable[int],
     alg: AlgebraSpec,
@@ -329,13 +354,7 @@ def sector_dimension(
 ) -> int:
     """Number of independent states the multiset carries: the Gram rank."""
     word, letters = _canonical(indices)
-    orbit = _canonical_orbit(word)
-    if rule is None:
-        live_mask = (1 << len(orbit)) - 1
-    else:
-        states = _relabelled(orbit, letters)
-        live_mask = sum(1 << i for i, s in enumerate(states) if rule.allows(s))
-    return _sector_rank(word, alg.q, live_mask)
+    return _sector_rank(word, alg.q, _live_mask(word, letters, rule))
 
 
 def one_particle_dimension(

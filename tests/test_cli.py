@@ -1,9 +1,11 @@
 """Command-line interface: parsing, output formats, determinism, exit codes."""
 
+import argparse
 import csv
 import hashlib
 import io
 import json
+import os
 import re
 import shlex
 import subprocess
@@ -13,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+from fockcount import cli
 from fockcount.cli import (
     COMMANDS,
     COUNT_FAMILIES,
@@ -784,6 +787,47 @@ def test_each_command_help_exits_zero(name, capsys):
         main([name, "--help"])
     assert exc.value.code == 0
     assert capsys.readouterr().out.startswith(f"usage: fockcount {name} [-h]")
+
+
+def _parser_exit(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out, err = capsys.readouterr()
+    return exc.value.code, out, err
+
+
+# Every help page, then three usage errors: a missing required option, an
+# unknown command and a bad choice.
+PARSER_EXITS = [["--help"], *([name, "--help"] for name in COMMANDS),
+                ["count"], ["frob"], ["count", "--family", "nope"]]
+
+
+@pytest.mark.parametrize("columns, terminal", [
+    ("40", 57), ("80", 57), ("200", 57), ("0", 57), ("abc", 57),
+    (None, 57), (None, OSError), ("0", OSError),
+])
+def test_help_and_usage_errors_match_the_stock_formatter(columns, terminal, monkeypatch, capsys):
+    """The CLI's formatter reads the terminal width without shutil; every
+    help page and usage error is the same text argparse's own formatter
+    prints. shutil.get_terminal_size asks os.get_terminal_size when COLUMNS
+    is unset or not a positive integer, so both sides see the patched
+    terminal."""
+    if columns is None:
+        monkeypatch.delenv("COLUMNS", raising=False)
+    else:
+        monkeypatch.setenv("COLUMNS", columns)
+
+    def terminal_size(fd):
+        if terminal is OSError:
+            raise OSError("not a terminal")
+        return os.terminal_size((terminal, 24))
+
+    monkeypatch.setattr(os, "get_terminal_size", terminal_size)
+    ours = [_parser_exit(argv, capsys) for argv in PARSER_EXITS]
+    monkeypatch.setattr(cli, "_help_formatter", argparse.HelpFormatter)
+    stock = [_parser_exit(argv, capsys) for argv in PARSER_EXITS]
+    assert ours == stock
+    assert [code for code, _, _ in ours] == [0] * (len(COMMANDS) + 1) + [2] * 3
 
 
 def test_unknown_command_exits_two(capsys):

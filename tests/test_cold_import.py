@@ -1,6 +1,7 @@
 """A cold interpreter that imports fockcount and its CLI loads none of the
 modules that cost most of the start-up time; JSON output and config files
-load `json` only when they run."""
+load `json` only when they run, and a call that prints no help never loads
+`shutil`."""
 
 import json
 import subprocess
@@ -45,3 +46,38 @@ def test_import_loads_no_heavy_module_and_output_is_unchanged(tmp_path, capsys):
         expected.append(capsys.readouterr().out)
     assert expected[0] == expected[1]
     assert done.stdout == "[]\n" + "".join(expected) + "[0, 0]\n"
+
+
+# argparse's stock help formatter imports these to read the terminal width.
+SHUTIL = ("shutil", "bz2", "lzma")
+
+VERIFY_CHILD = """
+import sys
+sys.path.insert(0, {src!r})
+from fockcount.cli import main
+code = main(["verify", "--kind", "cs-average", "--out", {out!r}])
+print(code, sorted(name for name in {shutil!r} if name in sys.modules))
+"""
+
+HELP_CHILD = """
+import sys
+sys.path.insert(0, {src!r})
+from fockcount.cli import main
+main(["count", "--help"])
+"""
+
+
+def test_a_call_without_help_loads_no_shutil(tmp_path):
+    out = tmp_path / "verify.csv"
+    child = VERIFY_CHILD.format(src=str(SRC), out=str(out), shutil=SHUTIL)
+    done = subprocess.run([sys.executable, "-I", "-S", "-c", child],
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "0 []\n"
+    assert out.read_text(encoding="utf-8").startswith("check,params,status,detail\n")
+
+    child = HELP_CHILD.format(src=str(SRC))
+    done = subprocess.run([sys.executable, "-I", "-S", "-c", child],
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("usage: fockcount count [-h] --family")

@@ -16,6 +16,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fockcount.algebra_engine import MAX_WORD_LETTERS, _contract, _interned
+from fockcount.cli import RULES
 from fockcount.core import bose, build_lattice, fermi, quon
 from fockcount.counting import count_enumerated
 from fockcount.gram import (
@@ -23,6 +24,8 @@ from fockcount.gram import (
     RANK_PRIME,
     _canonical,
     _canonical_orbit,
+    _live_mask,
+    _pair_mask,
     _sector_rank,
     _shape_gram,
     exact_determinant,
@@ -35,6 +38,7 @@ from fockcount.gram import (
     sector_dimension,
 )
 from fockcount.restrictions import (
+    AdjacentPairRule,
     CapacityExceededError,
     CSRule,
     GentileRule,
@@ -444,7 +448,8 @@ def test_sector_dimension_matches_gaussian_rank_over_a_sweep():
 
 
 def test_every_gram_cache_is_bounded():
-    for cache in (_contract, _interned, _canonical_orbit, _shape_gram, _sector_rank):
+    for cache in (_contract, _interned, _canonical_orbit, _pair_mask, _shape_gram,
+                  _sector_rank):
         assert cache.cache_info().maxsize is not None
 
 
@@ -471,3 +476,43 @@ def test_rank_cache_hit_builds_no_gram_structure():
     assert sector_dimension((1, 3, 5, 7), quon(HALF), rule) == rank
     assert _sector_rank.cache_info().hits == hits + 1
     assert _shape_gram.cache_info().currsize == 0
+
+
+# Small parameters for each gap family of the CLI's rule table.
+GAP_SETS = st.sets(st.integers(1, 5), min_size=1, max_size=3).map(lambda s: tuple(sorted(s)))
+GAP_RULE_PARAMS = {
+    "cs": (st.integers(0, 3), st.integers(1, 3)),
+    "cs-bose": (st.integers(1, 3),),
+    "x-fermi": (GAP_SETS,),
+    "x-bose": (GAP_SETS,),
+    "window-min": (st.integers(0, 3),),
+    "window-max": (st.integers(1, 3),),
+}
+gap_rules = st.sampled_from(sorted(GAP_RULE_PARAMS)).flatmap(
+    lambda family: st.tuples(*GAP_RULE_PARAMS[family]).map(
+        lambda args: RULES[family][1](*args)))
+# Up to 5 letters drawn from up to 5 of 12 sites, so letters often repeat.
+small_multisets = st.lists(st.integers(1, 12), min_size=1, max_size=5, unique=True).flatmap(
+    lambda sites: st.lists(st.sampled_from(sites), min_size=1, max_size=5))
+
+
+def test_gap_rule_params_cover_every_gap_family():
+    gap_families = {family for family, (names, build) in RULES.items()
+                    if isinstance(build(*[(2,) if n == "x_set" else 2 for n in names]),
+                                  AdjacentPairRule)}
+    assert set(GAP_RULE_PARAMS) == gap_families
+
+
+@given(small_multisets, gap_rules)
+def test_gap_rule_mask_keeps_the_words_the_rule_allows(ms, rule):
+    """The mask read from the rule's banned letter pairs keeps the same words
+    as testing each word, and the rank over it is the rank of the Gram
+    matrix that gram_matrix projects word by word."""
+    word, letters = _canonical(ms)
+    mask = _live_mask(word, letters, rule)
+    orbit = permutation_orbit(ms)
+    assert [w for i, w in enumerate(orbit) if mask >> i & 1] == [
+        w for w in orbit if rule.allows(w)]
+    assert mask < 1 << len(orbit)
+    for alg in (bose(), fermi(), quon(HALF)):
+        assert sector_dimension(ms, alg, rule) == gram_matrix(ms, alg, rule).rank()

@@ -61,6 +61,7 @@ from .restrictions import (
     WindowRule,
     XBoseRule,
     XFermiRule,
+    _check_candidates,
     count_allowed_states,
     enumerate_allowed,
 )
@@ -320,11 +321,10 @@ def run_gram(args) -> tuple[list[str], list[tuple], int]:
         multisets = [tuple(sorted(args.multiset))]
     else:
         _require(args, "M", "N")
-        multisets = [
-            ms
-            for m, n in product(args.M, args.N)
-            for ms in combinations_with_replacement(range(1, m + 1), n)
-        ]
+        multisets = []
+        for m, n in product(args.M, args.N):
+            _check_candidates(m, n, args.cap)
+            multisets += combinations_with_replacement(range(1, m + 1), n)
     for ms in multisets:
         rows.append((ms, args.alg, orbit_size(ms), sector_dimension(ms, alg, rule)))
     return header, rows, 0
@@ -337,11 +337,17 @@ def _definitional(compare):
     return lambda *point: compare(*point).g_definitional
 
 
+def _default_m0(p: int, q: int, n: int, i1: int) -> int:
+    """The first lattice size M0 = N·p + q + i1 + 2 of a cs-average window
+    where none is given."""
+    return n * p + q + i1 + 2
+
+
 def _cs_average_points(args):
-    """--M is the M0 grid; without it M0 = N·p + q + i1 + 2 at each point."""
+    """--M is the M0 grid; without it each point takes `_default_m0`."""
     _require(args, "N", "p", "q", "i1")
     for p, q, m0, n, i1 in product(args.p, args.q, args.M or [None], args.N, args.i1):
-        yield p, q, n * p + q + i1 + 2 if m0 is None else m0, n, i1
+        yield p, q, _default_m0(p, q, n, i1) if m0 is None else m0, n, i1
 
 
 def _pattern_points(args):
@@ -496,7 +502,7 @@ def _verify_para_g():
 def _verify_cs_average():
     for p, q in product(range(5), range(1, 5)):
         n, i1 = 2, 1
-        m0 = n * p + q + i1 + 2
+        m0 = _default_m0(p, q, n, i1)
         value = g_average_cs(p, q, m0, n, i1)
         yield (f"p={p} q={q} M0={m0}", value == Fraction(p, q),
                f"average={value} expected={Fraction(p, q)}")
@@ -597,14 +603,15 @@ def run_verify(args) -> tuple[list[str], list[tuple], int]:
 _INTS = {"type": parse_int_values}
 _X_SET = {"type": parse_int_set}
 _LAMBDA = {"dest": "lam", "type": parse_frac_values}
+# Read by the commands that walk index multisets.
+_CAP = {"type": int, "default": DEFAULT_CANDIDATE_CAP,
+        "help": "max index multisets per grid point"}
 
 # The options every command takes, after its own.
 _COMMON = {
     "config": {"help": "JSON file predefining options"},
     "format": {"choices": ("csv", "json"), "default": "csv"},
     "out": {"help": "write output to this path"},
-    "cap": {"type": int, "default": DEFAULT_CANDIDATE_CAP,
-            "help": "max enumeration candidates per grid point"},
 }
 
 # command -> (help, options, runner), in the order `--help` lists them. Each
@@ -617,16 +624,19 @@ COMMANDS = {
         "g": {"type": parse_frac_values}, "lambda": _LAMBDA, "x-set": _X_SET,
         "oracle": {"action": "store_true",
                    "help": "compare each value against the enumerated count"},
+        "cap": _CAP,
     }, run_count),
     "enumerate": ("list allowed canonical states", {
         "family": {"choices": RULES, "default": "none"},
         "M": _INTS, "N": _INTS, "p": _INTS, "q": _INTS, "m": _INTS, "x-set": _X_SET,
+        "cap": _CAP,
     }, run_enumerate),
     "gram": ("Gram dimensions and exact ranks", {
         "multiset": _INTS,
         "alg": {"default": "quon:0", "help": "bose, fermi or quon:Q (e.g. quon:1/2)"},
         "rule-family": {"choices": RULES},
         "M": _INTS, "N": _INTS, "p": _INTS, "q": _INTS, "m": _INTS, "x-set": _X_SET,
+        "cap": _CAP,
     }, run_gram),
     "params": ("exclusion-statistics parameters", {
         "family": {"choices": PARAM_FAMILIES, "required": True},

@@ -17,8 +17,8 @@ from .core import AlgebraSpec, quon
 from .gram import sector_dimension
 from .restrictions import (
     DEFAULT_CANDIDATE_CAP,
-    CapacityExceededError,
     RestrictionRule,
+    _check_candidates,
     _check_sizes,
     count_allowed_words,
 )
@@ -32,15 +32,6 @@ def binom(n: int, k: int) -> int:
     return comb(n, k)
 
 
-def _check_mn(n_sites: int, n_particles: int, min_particles: int = 1) -> None:
-    if n_sites < 1:
-        raise ValueError(f"need at least one site, got {n_sites}")
-    if n_particles < min_particles:
-        raise ValueError(
-            f"particle number must be >= {min_particles}, got {n_particles}"
-        )
-
-
 def count_cs(n_sites: int, n_particles: int, p: int, q: int) -> int:
     """States with adjacent gaps p + n*q on a finite lattice.
 
@@ -48,7 +39,7 @@ def count_cs(n_sites: int, n_particles: int, p: int, q: int) -> int:
     distribute the remaining slack among N-1 gap increments:
     sum_i C(floor((M - i - p(N-1))/q) + N - 1, N - 1).
     """
-    _check_mn(n_sites, n_particles)
+    _check_sizes(n_sites, n_particles, least=1)
     if p < 0 or q < 1:
         raise ValueError(f"need p >= 0 and q >= 1, got p={p}, q={q}")
     span = p * (n_particles - 1)
@@ -60,7 +51,7 @@ def count_cs(n_sites: int, n_particles: int, p: int, q: int) -> int:
 
 def count_cs_closed(n_sites: int, n_particles: int, p: int, q: int) -> int:
     """Two-binomial closed form of count_cs (diagnostic cross-check)."""
-    _check_mn(n_sites, n_particles)
+    _check_sizes(n_sites, n_particles, least=1)
     if p < 0 or q < 1:
         raise ValueError(f"need p >= 0 and q >= 1, got p={p}, q={q}")
     n = n_particles - 1
@@ -73,7 +64,7 @@ def count_cs_closed(n_sites: int, n_particles: int, p: int, q: int) -> int:
 
 def count_cs_equal_pq(n_sites: int, n_particles: int, q: int) -> int:
     """Closed form for the p = q case (diagnostic cross-check)."""
-    _check_mn(n_sites, n_particles)
+    _check_sizes(n_sites, n_particles, least=1)
     if q < 1:
         raise ValueError(f"need q >= 1, got {q}")
     n = n_particles - 1
@@ -83,12 +74,9 @@ def count_cs_equal_pq(n_sites: int, n_particles: int, q: int) -> int:
 
 def count_cs_bose(n_sites: int, n_particles: int, q: int) -> int:
     """Generalized Bose counting: gaps 0, q, 2q, ... (the p = 0 case)."""
-    _check_mn(n_sites, n_particles)
     if q < 1:
         raise ValueError(f"need q >= 1, got {q}")
-    n = n_particles - 1
-    alpha = (n_sites - 1) // q
-    return n_sites * binom(n + alpha, n) - q * n * binom(n + alpha, n_particles)
+    return count_cs_closed(n_sites, n_particles, 0, q)
 
 
 def count_haldane_wu(n_sites: int, n_particles: int, g) -> int:
@@ -97,8 +85,7 @@ def count_haldane_wu(n_sites: int, n_particles: int, g) -> int:
     Requires (N-1)(1-g) to be an integer; fractional g is admitted only
     when the product clears the denominator.
     """
-    if n_sites < 1 or n_particles < 0:
-        raise ValueError("need M >= 1 and N >= 0")
+    _check_sizes(n_sites, n_particles)
     shift = (n_particles - 1) * (1 - Fraction(g))
     if shift.denominator != 1:
         raise ValueError(
@@ -114,8 +101,7 @@ def count_real(n_sites: int, n_particles: int, lam, literal_bottom: bool = False
     switches the lower binomial index to N - 1, a printed variant kept for
     diagnostics only; it breaks the integer-lam coincidence.
     """
-    if n_sites < 1 or n_particles < 0:
-        raise ValueError("need M >= 1 and N >= 0")
+    _check_sizes(n_sites, n_particles)
     lam = Fraction(lam)
     if lam < 0:
         raise ValueError(f"coupling must be >= 0, got {lam}")
@@ -137,8 +123,7 @@ def lambda_eff(n_particles: int, lam) -> Fraction:
 
 def count_x_fermi(n_sites: int, n_particles: int, gaps: Iterable[int]) -> int:
     """Strictly ordered states whose adjacent gaps lie in the given set."""
-    if n_sites < 1 or n_particles < 0:
-        raise ValueError("need M >= 1 and N >= 0")
+    _check_sizes(n_sites, n_particles)
     xs = sorted(set(gaps))
     if not xs or xs[0] < 1:
         raise ValueError("gap set must be non-empty positive integers")
@@ -159,8 +144,7 @@ def count_x_bose(n_sites: int, n_particles: int, gaps: Iterable[int]) -> int:
     """Reoccupation-allowed count via the binomial convolution
     sum_k C(N-1, k-1) * D_fermi(M, k): choose the occupied support with
     gaps from the set, then distribute multiplicities."""
-    if n_sites < 1 or n_particles < 0:
-        raise ValueError("need M >= 1 and N >= 0")
+    _check_sizes(n_sites, n_particles)
     if n_particles == 0:
         return 1
     return sum(
@@ -173,8 +157,7 @@ def count_gentile(n_sites: int, n_particles: int, max_occupancy: int) -> int:
     """States with at most m particles per oscillator, as the multinomial
     sum over occupation-number histograms (n_0, ..., n_m) with
     sum n_a = M and sum a*n_a = N."""
-    if n_sites < 1 or n_particles < 0:
-        raise ValueError("need M >= 1 and N >= 0")
+    _check_sizes(n_sites, n_particles)
     if max_occupancy < 1:
         raise ValueError(f"max occupancy must be >= 1, got {max_occupancy}")
     fact = math.factorial
@@ -202,8 +185,7 @@ def count_gentile(n_sites: int, n_particles: int, max_occupancy: int) -> int:
 def count_para_restricted(n_sites: int, n_particles: int, p: int, kind: str) -> int:
     """Counting for algebras that die beyond p particles: ordinary Fermi or
     Bose counting up to N = p, zero above."""
-    if n_sites < 1 or n_particles < 0:
-        raise ValueError("need M >= 1 and N >= 0")
+    _check_sizes(n_sites, n_particles)
     if p < 1:
         raise ValueError(f"order must be >= 1, got {p}")
     if kind not in ("fermi", "bose"):
@@ -222,8 +204,7 @@ def count_window_min(n_sites: int, n_particles: int, p: int) -> int:
     apart: C(M + (1-p)(N-1), N), since removing the p - 1 sites each gap
     must leave empty maps them onto N-subsets of the shortened lattice.
     At p = 0 every multiset qualifies: C(M + N - 1, N)."""
-    if n_sites < 1 or n_particles < 0:
-        raise ValueError("need M >= 1 and N >= 0")
+    _check_sizes(n_sites, n_particles)
     if p < 0:
         raise ValueError(f"window width must be >= 0, got {p}")
     return binom(n_sites + (1 - p) * (n_particles - 1), n_particles)
@@ -273,12 +254,7 @@ def count_enumerated(
         alg = quon(0)
     if alg.is_quon_zero:
         return count_allowed_words(n_sites, n_particles, rule)
-    n_multisets = comb(n_sites + n_particles - 1, n_particles)
-    if n_multisets > cap:
-        raise CapacityExceededError(
-            f"{n_multisets} index multisets for {n_particles} particles on "
-            f"{n_sites} sites exceeds cap {cap}"
-        )
+    _check_candidates(n_sites, n_particles, cap)
     return sum(
         sector_dimension(ms, alg, rule)
         for ms in combinations_with_replacement(range(1, n_sites + 1), n_particles)

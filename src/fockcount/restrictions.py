@@ -149,11 +149,23 @@ def is_allowed(state: MonomialState, rule: RestrictionRule | None) -> bool:
     return rule is None or rule.allows(state)
 
 
-def _check_sizes(n_sites: int, n_particles: int) -> None:
-    if n_sites < 1:
-        raise ValueError(f"need at least one site, got {n_sites}")
-    if n_particles < 0:
-        raise ValueError(f"particle number must be >= 0, got {n_particles}")
+def _check_sizes(n_sites: int, n_particles: int, least: int = 0) -> None:
+    """The domain of every count: M >= 1 sites and N >= least particles."""
+    if n_sites < 1 or n_particles < least:
+        raise ValueError(f"need M >= 1 and N >= {least}")
+
+
+def _check_candidates(n_sites: int, n_particles: int, cap: int) -> None:
+    """Refuse a cap below 1, or more than cap index multisets C(M+N-1, N) to
+    walk. Without sites there is at most one multiset, the empty one."""
+    if cap < 1:
+        raise ValueError(f"cap must be positive, got {cap}")
+    n_multisets = comb(n_sites + n_particles - 1, n_particles) if n_sites >= 1 else 1
+    if n_multisets > cap:
+        raise CapacityExceededError(
+            f"{n_multisets} candidate states for {n_particles} particles on "
+            f"{n_sites} sites exceeds cap {cap}"
+        )
 
 
 def _successors(
@@ -207,13 +219,7 @@ def enumerate_allowed(
     other rule raises TypeError.
     """
     _check_sizes(n_sites, n_particles)
-    if cap < 1:
-        raise ValueError(f"cap must be positive, got {cap}")
-    if comb(n_sites + n_particles - 1, n_particles) > cap:
-        raise CapacityExceededError(
-            f"{comb(n_sites + n_particles - 1, n_particles)} candidate states "
-            f"for {n_particles} particles on {n_sites} sites exceeds cap {cap}"
-        )
+    _check_candidates(n_sites, n_particles, cap)
     if isinstance(rule, TotalCapRule):
         # The cap reads only a word's length: every word passes, or none.
         if n_particles > rule.cap:

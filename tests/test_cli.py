@@ -517,17 +517,16 @@ def test_config_kind_takes_one_entry_per_check(tmp_path, capsys):
 # Each command's option strings in the order its --help lists them.
 HELP_OPTIONS = {
     "count": ["--help", "--family", "--M", "--N", "--p", "--q", "--m", "--g", "--lambda",
-              "--x-set", "--oracle", "--config", "--format", "--out", "--cap"],
+              "--x-set", "--oracle", "--cap", "--config", "--format", "--out"],
     "enumerate": ["--help", "--family", "--M", "--N", "--p", "--q", "--m", "--x-set",
-                  "--config", "--format", "--out", "--cap"],
+                  "--cap", "--config", "--format", "--out"],
     "gram": ["--help", "--multiset", "--alg", "--rule-family", "--M", "--N", "--p", "--q",
-             "--m", "--x-set", "--config", "--format", "--out", "--cap"],
+             "--m", "--x-set", "--cap", "--config", "--format", "--out"],
     "params": ["--help", "--family", "--M", "--N", "--p", "--q", "--i1", "--n", "--k", "--m",
-               "--nlast", "--pattern", "--side", "--oracle", "--config", "--format", "--out",
-               "--cap"],
+               "--nlast", "--pattern", "--side", "--oracle", "--config", "--format", "--out"],
     "spectrum": ["--help", "--N", "--lambda", "--L", "--filling", "--anchor", "--config",
-                 "--format", "--out", "--cap"],
-    "verify": ["--help", "--all", "--kind", "--config", "--format", "--out", "--cap"],
+                 "--format", "--out"],
+    "verify": ["--help", "--all", "--kind", "--config", "--format", "--out"],
 }
 
 
@@ -882,6 +881,51 @@ def test_gram_orbit_capacity_refused_at_once():
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert "40320 words" in proc.stderr
+
+
+def test_gram_grid_keeps_to_the_cap(capsys):
+    argv = ["gram", "--M", "8", "--N", "3"]
+    code, out, err = run_cli([*argv, "--cap", "10"], capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: 120 candidate states for 3 particles on 8 sites exceeds cap 10\n"
+    code, out, err = run_cli([*argv, "--cap", "120"], capsys)
+    assert code == 0, err
+    assert len(parse_csv(out)[1]) == 120
+
+
+def _limit_address_space():
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+def test_gram_grid_beyond_the_default_cap_refused_at_once():
+    # Unguarded, this grid point lists C(204, 5), about 2.8e9, multisets; the
+    # child's 1 GiB address space turns that into a MemoryError, not a swap.
+    code = ("import sys, time; from fockcount.cli import main; t = time.perf_counter(); "
+            "rc = main(['gram', '--M', '200', '--N', '5']); "
+            "print(rc, time.perf_counter() - t)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60, preexec_fn=_limit_address_space)
+    assert proc.returncode == 0, proc.stderr
+    rc, seconds = proc.stdout.split()
+    assert rc == "2" and float(seconds) < 1
+    assert proc.stderr == "error: 2802350040 candidate states for 5 particles on 200 sites " \
+                          "exceeds cap 2000000\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["params", "--family", "single-gentile", "--n", "1", "--m", "3"],
+    ["spectrum", "--N", "2", "--lambda", "1", "--L", "6"],
+    ["verify", "--kind", "cs-oracle"],
+], ids=lambda argv: argv[0])
+def test_cap_is_an_option_only_where_it_is_read(argv, tmp_path, capsys):
+    with pytest.raises(SystemExit) as info:
+        main([*argv, "--cap", "1"])
+    assert info.value.code == 2
+    assert "unrecognized arguments: --cap 1" in capsys.readouterr().err
+    # a config file shared with count, enumerate or gram may still hold it
+    assert _run_with_config({"cap": 1}, argv, tmp_path, capsys) == run_cli(argv, capsys)
 
 
 def test_gram_word_length_refused_at_once():

@@ -28,11 +28,15 @@ from fockcount.counting import (
     lambda_eff,
 )
 from fockcount.restrictions import (
+    CapacityExceededError,
     CSRule,
     GentileRule,
     TotalCapRule,
     XBoseRule,
     XFermiRule,
+    count_allowed_states,
+    count_allowed_words,
+    enumerate_allowed,
 )
 
 from oracles import (
@@ -115,6 +119,48 @@ def test_coupling_laws_share_their_domain(law, m, n):
     # M >= 1 and N >= 0, the domain of the definitional count
     with pytest.raises(ValueError, match=r"^need M >= 1 and N >= 0$"):
         law(m, n, Fraction(0))
+
+
+# Every count taking (M, N, ...), with its remaining arguments and the least
+# N it takes: the cs closed forms do not count the vacuum, the rest do.
+COUNTS = {
+    "cs": (lambda m, n: count_cs(m, n, 1, 2), 1),
+    "cs-closed": (lambda m, n: count_cs_closed(m, n, 1, 2), 1),
+    "cs-equal-pq": (lambda m, n: count_cs_equal_pq(m, n, 2), 1),
+    "cs-bose": (lambda m, n: count_cs_bose(m, n, 2), 1),
+    "haldane-wu": (lambda m, n: count_haldane_wu(m, n, Fraction(0)), 0),
+    "real": (lambda m, n: count_real(m, n, Fraction(1, 2)), 0),
+    "x-fermi": (lambda m, n: count_x_fermi(m, n, (1, 3)), 0),
+    "x-bose": (lambda m, n: count_x_bose(m, n, (2,)), 0),
+    "gentile": (lambda m, n: count_gentile(m, n, 2), 0),
+    "para": (lambda m, n: count_para_restricted(m, n, 2, "fermi"), 0),
+    "window-min": (lambda m, n: count_window_min(m, n, 1), 0),
+    "enumerated": (lambda m, n: count_enumerated(m, n, CSRule(1, 2), bose()), 0),
+    "enumerate-allowed": (lambda m, n: enumerate_allowed(m, n, CSRule(1, 2)), 0),
+    "allowed-states": (lambda m, n: count_allowed_states(m, n, CSRule(1, 2)), 0),
+    "allowed-words": (lambda m, n: count_allowed_words(m, n, CSRule(1, 2)), 0),
+}
+
+
+@pytest.mark.parametrize("name", list(COUNTS))
+def test_every_count_refuses_its_domain_in_one_message(name):
+    count, least = COUNTS[name]
+    for m, n in ((0, least), (1, least - 1)):
+        with pytest.raises(ValueError, match=rf"^need M >= 1 and N >= {least}$"):
+            count(m, n)
+    count(1, least)
+
+
+@pytest.mark.parametrize("cap, error, message", [
+    (10, CapacityExceededError, "21 candidate states for 2 particles on 6 sites exceeds cap 10"),
+    (0, ValueError, "cap must be positive, got 0"),
+])
+def test_listing_and_gram_count_refuse_the_same_candidates(cap, error, message):
+    # Bose takes the Gram route; a q = 0 quon would count words, walking no multiset
+    for walk in (enumerate_allowed, lambda m, n, cap: count_enumerated(m, n, alg=bose(), cap=cap)):
+        with pytest.raises(error) as info:
+            walk(6, 2, cap=cap)
+        assert str(info.value) == message
 
 
 def test_count_real_and_lambda_eff():

@@ -62,6 +62,7 @@ from .restrictions import (
     XBoseRule,
     XFermiRule,
     _check_candidates,
+    _check_sizes,
     count_allowed_states,
     enumerate_allowed,
 )
@@ -323,6 +324,7 @@ def run_gram(args) -> tuple[list[str], list[tuple], int]:
         _require(args, "M", "N")
         multisets = []
         for m, n in product(args.M, args.N):
+            _check_sizes(m, n, least=1)
             _check_candidates(m, n, args.cap)
             multisets += combinations_with_replacement(range(1, m + 1), n)
     for ms in multisets:

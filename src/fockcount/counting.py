@@ -4,7 +4,9 @@ Every counter returns an exact integer. The closed forms never feed the
 enumeration path and vice versa, so each can serve as an independent check
 of the other; `count_enumerated` is the definitional side (sum of Gram
 ranks over index multisets, with a word count shortcut for the q = 0 quon
-algebra where the two provably coincide).
+algebra where the two provably coincide). A closed form checks its rule
+parameter by building the rule record its oracle uses, so the two refuse
+the same values with the same message.
 """
 
 import math
@@ -17,7 +19,13 @@ from .core import AlgebraSpec, quon
 from .gram import sector_dimension
 from .restrictions import (
     DEFAULT_CANDIDATE_CAP,
+    CSRule,
+    GentileRule,
     RestrictionRule,
+    TotalCapRule,
+    WindowRule,
+    XBoseRule,
+    XFermiRule,
     _check_candidates,
     _check_sizes,
     count_allowed_words,
@@ -40,8 +48,7 @@ def count_cs(n_sites: int, n_particles: int, p: int, q: int) -> int:
     sum_i C(floor((M - i - p(N-1))/q) + N - 1, N - 1).
     """
     _check_sizes(n_sites, n_particles, least=1)
-    if p < 0 or q < 1:
-        raise ValueError(f"need p >= 0 and q >= 1, got p={p}, q={q}")
+    CSRule(p, q)
     span = p * (n_particles - 1)
     return sum(
         binom((n_sites - i - span) // q + n_particles - 1, n_particles - 1)
@@ -52,8 +59,7 @@ def count_cs(n_sites: int, n_particles: int, p: int, q: int) -> int:
 def count_cs_closed(n_sites: int, n_particles: int, p: int, q: int) -> int:
     """Two-binomial closed form of count_cs (diagnostic cross-check)."""
     _check_sizes(n_sites, n_particles, least=1)
-    if p < 0 or q < 1:
-        raise ValueError(f"need p >= 0 and q >= 1, got p={p}, q={q}")
+    CSRule(p, q)
     n = n_particles - 1
     t = n_sites - p * n
     if t < 1:
@@ -65,8 +71,7 @@ def count_cs_closed(n_sites: int, n_particles: int, p: int, q: int) -> int:
 def count_cs_equal_pq(n_sites: int, n_particles: int, q: int) -> int:
     """Closed form for the p = q case (diagnostic cross-check)."""
     _check_sizes(n_sites, n_particles, least=1)
-    if q < 1:
-        raise ValueError(f"need q >= 1, got {q}")
+    CSRule(q, q)
     n = n_particles - 1
     alpha = (n_sites - 1) // q - n
     return n_sites * binom(n + alpha, n) - q * n * binom(n_particles + alpha, n_particles)
@@ -74,8 +79,6 @@ def count_cs_equal_pq(n_sites: int, n_particles: int, q: int) -> int:
 
 def count_cs_bose(n_sites: int, n_particles: int, q: int) -> int:
     """Generalized Bose counting: gaps 0, q, 2q, ... (the p = 0 case)."""
-    if q < 1:
-        raise ValueError(f"need q >= 1, got {q}")
     return count_cs_closed(n_sites, n_particles, 0, q)
 
 
@@ -124,9 +127,7 @@ def lambda_eff(n_particles: int, lam) -> Fraction:
 def count_x_fermi(n_sites: int, n_particles: int, gaps: Iterable[int]) -> int:
     """Strictly ordered states whose adjacent gaps lie in the given set."""
     _check_sizes(n_sites, n_particles)
-    xs = sorted(set(gaps))
-    if not xs or xs[0] < 1:
-        raise ValueError("gap set must be non-empty positive integers")
+    xs = XFermiRule(gaps).gaps
     if n_particles == 0:
         return 1
     # walk the lattice: ways[s] = ordered states of the current length ending at s
@@ -145,10 +146,11 @@ def count_x_bose(n_sites: int, n_particles: int, gaps: Iterable[int]) -> int:
     sum_k C(N-1, k-1) * D_fermi(M, k): choose the occupied support with
     gaps from the set, then distribute multiplicities."""
     _check_sizes(n_sites, n_particles)
+    xs = XBoseRule(gaps).gaps
     if n_particles == 0:
         return 1
     return sum(
-        binom(n_particles - 1, k - 1) * count_x_fermi(n_sites, k, gaps)
+        binom(n_particles - 1, k - 1) * count_x_fermi(n_sites, k, xs)
         for k in range(1, n_particles + 1)
     )
 
@@ -158,8 +160,7 @@ def count_gentile(n_sites: int, n_particles: int, max_occupancy: int) -> int:
     sum over occupation-number histograms (n_0, ..., n_m) with
     sum n_a = M and sum a*n_a = N."""
     _check_sizes(n_sites, n_particles)
-    if max_occupancy < 1:
-        raise ValueError(f"max occupancy must be >= 1, got {max_occupancy}")
+    GentileRule(max_occupancy)
     fact = math.factorial
     total = 0
 
@@ -186,8 +187,7 @@ def count_para_restricted(n_sites: int, n_particles: int, p: int, kind: str) -> 
     """Counting for algebras that die beyond p particles: ordinary Fermi or
     Bose counting up to N = p, zero above."""
     _check_sizes(n_sites, n_particles)
-    if p < 1:
-        raise ValueError(f"order must be >= 1, got {p}")
+    TotalCapRule(p)
     if kind not in ("fermi", "bose"):
         raise ValueError(f"kind must be 'fermi' or 'bose', got {kind!r}")
     if n_particles == 0:
@@ -205,16 +205,14 @@ def count_window_min(n_sites: int, n_particles: int, p: int) -> int:
     must leave empty maps them onto N-subsets of the shortened lattice.
     At p = 0 every multiset qualifies: C(M + N - 1, N)."""
     _check_sizes(n_sites, n_particles)
-    if p < 0:
-        raise ValueError(f"window width must be >= 0, got {p}")
+    WindowRule(p, "min")
     return binom(n_sites + (1 - p) * (n_particles - 1), n_particles)
 
 
 def avg_g_identity_holds(p: int, q: int, n_sites: int) -> bool:
     """Floor-difference block identity:
     sum_{i=1..q} floor((M-i)/q) - floor((M-i-p)/q) == p."""
-    if p < 0 or q < 1:
-        raise ValueError(f"need p >= 0 and q >= 1, got p={p}, q={q}")
+    CSRule(p, q)
     total = sum(
         (n_sites - i) // q - (n_sites - i - p) // q for i in range(1, q + 1)
     )

@@ -11,6 +11,7 @@ import math
 from fractions import Fraction
 
 from .core import Frozen
+from .restrictions import GentileRule
 
 
 class Filling(Frozen):
@@ -76,17 +77,10 @@ def energy(ks: list[float]) -> float:
 
 def ground_energy(n_particles: int, lam, ring_length: float) -> float:
     """Closed-form ground-state energy pi^2 lam^2 N(N^2-1) / (3 L^2)."""
-    if n_particles < 1:
-        raise ValueError(f"particle number must be >= 1, got {n_particles}")
-    lam = Fraction(lam)
-    if lam < 0:
-        raise ValueError(f"coupling must be >= 0, got {lam}")
-    if not ring_length > 0:
-        raise ValueError(f"ring length must be positive, got {ring_length}")
-    lam_f = float(lam)
+    lam = ground_filling(n_particles, lam, ring_length).lam
     return (
         math.pi**2
-        * lam_f**2
+        * float(lam)**2
         * n_particles
         * (n_particles**2 - 1)
         / (3 * ring_length**2)
@@ -127,8 +121,7 @@ def phi_structure(n: int, max_occupancy: int) -> float:
     Positive for 1 <= n <= m and zero at n = m + 1, which truncates the
     single-oscillator ladder at m particles.
     """
-    if max_occupancy < 1:
-        raise ValueError(f"max occupancy must be >= 1, got {max_occupancy}")
+    GentileRule(max_occupancy)
     if n < 0:
         raise ValueError(f"level must be >= 0, got {n}")
     lam = 2 * math.pi / (max_occupancy + 1)
@@ -138,8 +131,7 @@ def phi_structure(n: int, max_occupancy: int) -> float:
 def truncated_bose_structure(n: int, max_occupancy: int) -> int:
     """Eigenvalue of a a+ on the n-particle level of the truncated Bose
     oscillator: n + 1 below the cap, 0 exactly at it."""
-    if max_occupancy < 1:
-        raise ValueError(f"max occupancy must be >= 1, got {max_occupancy}")
+    GentileRule(max_occupancy)
     if not 0 <= n <= max_occupancy:
         raise ValueError(
             f"level must lie in 0..{max_occupancy}, got {n}"

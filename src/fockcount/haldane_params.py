@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from .core import Frozen, ModeLattice, bose, build_lattice, fermi, quon
 from .gram import extended_g
-from .restrictions import CSRule, GentileRule, TotalCapRule
+from .restrictions import CSRule, GentileRule, TotalCapRule, _check_sizes
 
 
 class GReport(Frozen):
@@ -44,10 +44,8 @@ def g_cs_finite(
     and the value departs from the dimension difference on the finite
     lattice; compare_cs_finite surfaces any such departure.
     """
-    if p < 0 or q < 1:
-        raise ValueError(f"need p >= 0 and q >= 1, got p={p}, q={q}")
-    if n_particles < 1:
-        raise ValueError(f"particle number must be >= 1, got {n_particles}")
+    CSRule(p, q)
+    _check_sizes(n_sites, n_particles, least=1)
     if i1 < 1 or i1 + (n_particles - 1) * p > n_sites:
         raise ValueError(
             f"closest-packed state from i1={i1} with N={n_particles}, p={p} "
@@ -69,8 +67,7 @@ def g_cs_finite(
 def g_average_cs(p: int, q: int, m0: int, n_particles: int, i1: int) -> Fraction:
     """Finite-lattice parameter averaged over q consecutive lattice sizes
     m0..m0+q-1 (right side); the block average collapses to p/q exactly."""
-    if p < 0 or q < 1:
-        raise ValueError(f"need p >= 0 and q >= 1, got p={p}, q={q}")
+    CSRule(p, q)
     if m0 < n_particles * p + q + i1:
         raise ValueError(
             f"lattice window m0={m0} too small for N={n_particles}, p={p}, "
@@ -84,8 +81,7 @@ def g_average_cs(p: int, q: int, m0: int, n_particles: int, i1: int) -> Fraction
 
 def g_haldane_cs(p: int, q: int, n_last: int) -> Fraction:
     """Large-lattice parameter p/q shifted by the outermost gap excitation."""
-    if p < 0 or q < 1:
-        raise ValueError(f"need p >= 0 and q >= 1, got p={p}, q={q}")
+    CSRule(p, q)
     if n_last < 0:
         raise ValueError(f"gap excitation must be >= 0, got {n_last}")
     return Fraction(p, q) + n_last
@@ -131,8 +127,7 @@ def g_gentile_average(pattern: Sequence[int], n_sites: int) -> Fraction:
 def g_single_gentile(filling: int, max_occupancy: int) -> int:
     """Single capped oscillator: the parameter jumps to 1 only on the last
     admissible addition."""
-    if max_occupancy < 1:
-        raise ValueError(f"max occupancy must be >= 1, got {max_occupancy}")
+    GentileRule(max_occupancy)
     if not 0 <= filling < max_occupancy:
         raise ValueError(
             f"filling must lie in 0..{max_occupancy - 1}, got {filling}"
@@ -142,8 +137,7 @@ def g_single_gentile(filling: int, max_occupancy: int) -> int:
 
 def g_single_gentile_average(max_occupancy: int) -> Fraction:
     """Average of the single-oscillator parameter over one full fill: 1/m."""
-    if max_occupancy < 1:
-        raise ValueError(f"max occupancy must be >= 1, got {max_occupancy}")
+    GentileRule(max_occupancy)
     total = sum(g_single_gentile(n, max_occupancy) for n in range(max_occupancy))
     return Fraction(total, max_occupancy)
 
@@ -154,12 +148,10 @@ def g_para_restricted(n_sites: int, n: int, k: int, p: int, kind: str) -> Fracti
     Fermi kind: 1 inside the cap, (M-n+1)/(p-n+1) on the last admissible
     step; Bose kind: 0 inside the cap, M/(p-n+1) on the last step.
     """
-    if n_sites < 1:
-        raise ValueError(f"need at least one site, got {n_sites}")
-    if p < 1:
-        raise ValueError(f"order must be >= 1, got {p}")
-    if n < 1 or k < 1:
-        raise ValueError(f"need n >= 1 and k >= 1, got n={n}, k={k}")
+    _check_sizes(n_sites, n, least=1)
+    TotalCapRule(p)
+    if k < 1:
+        raise ValueError(f"need k >= 1, got {k}")
     if n + k > p + 1:
         raise ValueError(
             f"transition to {n + k} particles exceeds the order-{p} cutoff"

@@ -229,6 +229,26 @@ def test_missing_option_is_named_by_its_flag(argv, message, capsys):
     assert err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "grid",
+    [["--M", "-1", "--N", "2"], ["--M", "0", "--N", "2"],
+     ["--M", "0..2", "--N", "0..2"], ["--M", "3", "--N", "-1"]],
+    ids=["negative-M", "zero-M", "zero-N-grid", "negative-N"],
+)
+def test_gram_grid_outside_the_count_domain_is_an_error(grid, capsys):
+    code, out, err = run_cli(["gram", *grid], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == "error: need M >= 1 and N >= 1\n"
+
+
+def test_count_refuses_the_same_gap_set_with_and_without_oracle(capsys):
+    argv = ["count", "--family", "x-bose", "--M", "5", "--N", "0", "--x-set", ""]
+    plain = run_cli(argv, capsys)
+    checked = run_cli([*argv, "--oracle"], capsys)
+    assert plain == checked == (2, "", "error: gap set must be non-empty\n")
+
+
 def test_gram_without_multiset_or_grid_is_a_clean_error(capsys):
     code, out, err = run_cli(["gram", "--alg", "fermi"], capsys)
     assert code == 2

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from fockcount.cli import COUNT_FAMILIES, _integer_gap
 from fockcount.core import bose, fermi, quon
 from fockcount.counting import (
     avg_g_identity_holds,
@@ -26,6 +27,15 @@ from fockcount.counting import (
     count_x_bose,
     count_x_fermi,
     lambda_eff,
+)
+from fockcount.cs_model import phi_structure, truncated_bose_structure
+from fockcount.haldane_params import (
+    g_average_cs,
+    g_cs_finite,
+    g_haldane_cs,
+    g_para_restricted,
+    g_single_gentile,
+    g_single_gentile_average,
 )
 from fockcount.restrictions import (
     CapacityExceededError,
@@ -347,3 +357,70 @@ def test_count_enumerated_x_rules():
             assert count_enumerated(m, n, XBoseRule((2,))) == count_x_bose(
                 m, n, (2,)
             )
+
+
+def _refusal(call, *args) -> str:
+    with pytest.raises(ValueError) as info:
+        call(*args)
+    return str(info.value)
+
+
+# Out-of-domain rule parameters of every count family whose oracle rule is a
+# restriction record: p = -1, q = 0, the gap sets () and (0,), m = 0, order 0.
+RECORD_FAMILY_REFUSALS = {
+    "cs": [(-1, 1), (0, 0)],
+    "cs-bose": [(0,)],
+    "x-fermi": [((),), ((0,),)],
+    "x-bose": [((),), ((0,),)],
+    "gentile": [(0,)],
+    "para-fermi": [(-1,), (0,)],
+    "para-bose": [(-1,), (0,)],
+    "window-min": [(-1,)],
+}
+
+
+def test_every_record_family_has_refusals():
+    families = {f for f, entry in COUNT_FAMILIES.items() if entry[3] is not _integer_gap}
+    assert set(RECORD_FAMILY_REFUSALS) == families
+
+
+@pytest.mark.parametrize("family", sorted(RECORD_FAMILY_REFUSALS))
+def test_count_closed_form_refuses_as_its_oracle_rule(family):
+    options, closed, _, build, _ = COUNT_FAMILIES[family]
+    particle_numbers = (0, 2) if options == ("x_set",) else (2,)
+    for values in RECORD_FAMILY_REFUSALS[family]:
+        message = _refusal(build, *values)
+        for n in particle_numbers:
+            assert _refusal(closed, 5, n, *values) == message, (values, n)
+
+
+@pytest.mark.parametrize(
+    "call,record",
+    [
+        (lambda: count_cs_closed(5, 2, -1, 1), lambda: CSRule(-1, 1)),
+        (lambda: count_cs_closed(5, 2, 0, 0), lambda: CSRule(0, 0)),
+        (lambda: count_cs_equal_pq(5, 2, 0), lambda: CSRule(0, 0)),
+        (lambda: avg_g_identity_holds(-1, 1, 5), lambda: CSRule(-1, 1)),
+        (lambda: avg_g_identity_holds(0, 0, 5), lambda: CSRule(0, 0)),
+        (lambda: g_cs_finite(8, 1, 2, -1, 1, "right"), lambda: CSRule(-1, 1)),
+        (lambda: g_cs_finite(8, 1, 2, 0, 0, "right"), lambda: CSRule(0, 0)),
+        (lambda: g_average_cs(-1, 1, 20, 2, 1), lambda: CSRule(-1, 1)),
+        (lambda: g_average_cs(0, 0, 20, 2, 1), lambda: CSRule(0, 0)),
+        (lambda: g_haldane_cs(-1, 1, 0), lambda: CSRule(-1, 1)),
+        (lambda: g_haldane_cs(0, 0, 0), lambda: CSRule(0, 0)),
+        (lambda: g_single_gentile(0, 0), lambda: GentileRule(0)),
+        (lambda: g_single_gentile_average(0), lambda: GentileRule(0)),
+        (lambda: g_para_restricted(5, 1, 1, 0, "fermi"), lambda: TotalCapRule(0)),
+        (lambda: phi_structure(1, 0), lambda: GentileRule(0)),
+        (lambda: truncated_bose_structure(0, 0), lambda: GentileRule(0)),
+    ],
+    ids=[
+        "count_cs_closed-p", "count_cs_closed-q", "count_cs_equal_pq",
+        "avg_g_identity-p", "avg_g_identity-q", "g_cs_finite-p", "g_cs_finite-q",
+        "g_average_cs-p", "g_average_cs-q", "g_haldane_cs-p", "g_haldane_cs-q",
+        "g_single_gentile", "g_single_gentile_average", "g_para_restricted",
+        "phi_structure", "truncated_bose_structure",
+    ],
+)
+def test_parameter_refusal_is_the_rule_records(call, record):
+    assert _refusal(call) == _refusal(record)

@@ -202,6 +202,13 @@ def orbit_size(indices: Iterable[int]) -> int:
     return factorial(len(word)) // prod(factorial(c) for c in Counter(word).values())
 
 
+def _check_orbit(word: Sequence[int]) -> None:
+    """Refuse a sorted multiset of more than MAX_ORBIT_WORDS orderings, by name."""
+    if factorial(len(word)) > MAX_ORBIT_WORDS and (size := orbit_size(word)) > MAX_ORBIT_WORDS:
+        raise CapacityExceededError(f"the orbit of {tuple(word)} has {size} words, more than "
+                                    f"the {MAX_ORBIT_WORDS} a Gram matrix is built for")
+
+
 def permutation_orbit(indices: Iterable[int]) -> tuple[MonomialState, ...]:
     """Distinct orderings of an index multiset, lexicographically sorted.
 
@@ -210,12 +217,7 @@ def permutation_orbit(indices: Iterable[int]) -> tuple[MonomialState, ...]:
     word = sorted(indices)
     if not word:
         raise ValueError("index multiset must be non-empty")
-    size = orbit_size(word)
-    if size > MAX_ORBIT_WORDS:
-        raise CapacityExceededError(
-            f"the orbit of {tuple(word)} has {size} words, more than the "
-            f"{MAX_ORBIT_WORDS} a Gram matrix is built for"
-        )
+    _check_orbit(word)
     orbit = []
     while True:
         orbit.append(tuple(word))
@@ -238,9 +240,10 @@ def _canonical(indices: Iterable[int]) -> tuple[MonomialState, tuple[int, ...]]:
 
     The renaming keeps the order of letters, hence the lexicographic order
     of the orbit: the canonical orbit's word i relabels to the real one.
-    Refuses multisets of more than MAX_WORD_LETTERS letters."""
+    Refuses multisets of more than MAX_WORD_LETTERS letters or MAX_ORBIT_WORDS orderings."""
     word = sorted(indices)
     check_word_length(word)
+    _check_orbit(word)
     letters = tuple(sorted(set(word)))
     position = {letter: i for i, letter in enumerate(letters)}
     return tuple([position[x] for x in word]), letters

@@ -89,8 +89,7 @@ def g_haldane_cs(p: int, q: int, n_last: int) -> Fraction:
 
 def _check_pattern(pattern: Sequence[int], n_sites: int) -> int:
     """Validate an occupancy histogram (n_0, ..., n_m); returns m."""
-    if len(pattern) < 2:
-        raise ValueError("histogram needs entries for fillings 0..m with m >= 1")
+    GentileRule(len(pattern) - 1)
     if any(n < 0 for n in pattern):
         raise ValueError("histogram entries must be non-negative")
     if sum(pattern) != n_sites:

@@ -18,9 +18,6 @@ import pytest
 from fockcount import cli
 from fockcount.cli import (
     COMMANDS,
-    COUNT_FAMILIES,
-    PARAM_FAMILIES,
-    RULES,
     _apply_config,
     build_parser,
     format_cell,
@@ -31,6 +28,7 @@ from fockcount.cli import (
 )
 from fockcount.core import quon
 from fockcount.gram import gram_matrix
+from fockcount.registry import COUNT_FAMILIES, PARAM_FAMILIES, RULES
 from fockcount.restrictions import CSRule
 
 from oracles import gauss_rank
@@ -421,8 +419,8 @@ def test_every_option_a_family_reads_is_an_option_of_its_command():
         for options, _ in RULES.values():
             assert set(options) <= set(dests)
     params = _dests("params", "--family", "cs-finite")
-    for columns, _, _, points in PARAM_FAMILIES.values():
-        if points is None:
+    for family, (columns, _, _) in PARAM_FAMILIES.items():
+        if family not in cli._PARAM_POINTS:
             assert set(columns) <= set(params)
 
 
@@ -556,6 +554,17 @@ def test_help_lists_each_option_in_order(command, capsys):
         main([command, "--help"])
     options = capsys.readouterr().out.split("\noptions:\n", 1)[1]
     assert re.findall(r"^  (?:-h, )?(--[\w-]+)", options, re.M) == HELP_OPTIONS[command]
+
+
+def test_help_tells_each_case_pair_of_options_apart(capsys):
+    for command in COMMANDS:
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        options = capsys.readouterr().out.split("\noptions:\n", 1)[1]
+        metavars = dict(re.findall(r"^  (--\w+) (\S+)", options, re.M))
+        for upper, lower in (("--M", "--m"), ("--N", "--n")):
+            if upper in metavars and lower in metavars:
+                assert metavars[upper] != metavars[lower], (command, upper, lower)
 
 
 # A value of each option that differs from its default, as a config file
@@ -901,6 +910,14 @@ def test_gram_orbit_capacity_refused_at_once():
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert "40320 words" in proc.stderr
+
+
+def test_gram_orbit_refusal_names_the_given_multiset(capsys):
+    code, out, err = run_cli(["gram", "--multiset", "3,12,3,5,8,9,3"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == ("error: the orbit of (3, 3, 3, 5, 8, 9, 12) has 840 words, "
+                   "more than the 720 a Gram matrix is built for\n")
 
 
 def test_gram_grid_keeps_to_the_cap(capsys):

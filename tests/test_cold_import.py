@@ -1,7 +1,7 @@
 """A cold interpreter that imports fockcount and its CLI loads none of the
 modules that cost most of the start-up time; JSON output and config files
 load `json` only when they run, and a call that prints no help never loads
-`shutil`."""
+`shutil`. The family registry loads without the CLI."""
 
 import json
 import subprocess
@@ -81,3 +81,20 @@ def test_a_call_without_help_loads_no_shutil(tmp_path):
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout.startswith("usage: fockcount count [-h] --family")
+
+
+REGISTRY_CHILD = """
+import sys
+sys.path.insert(0, {src!r})
+import fockcount.registry
+print(sorted(name for name in ("fockcount.cli", "argparse") if name in sys.modules))
+print(len(fockcount.registry.VERIFY_KINDS))
+"""
+
+
+def test_the_registry_loads_without_the_cli():
+    child = REGISTRY_CHILD.format(src=str(SRC))
+    done = subprocess.run([sys.executable, "-I", "-S", "-c", child],
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n14\n"

@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fockcount.cli import COUNT_FAMILIES, _integer_gap
 from fockcount.core import bose, fermi, quon
 from fockcount.counting import (
     avg_g_identity_holds,
@@ -30,13 +29,16 @@ from fockcount.counting import (
 )
 from fockcount.cs_model import phi_structure, truncated_bose_structure
 from fockcount.haldane_params import (
+    compare_gentile_average,
     g_average_cs,
     g_cs_finite,
+    g_gentile_average,
     g_haldane_cs,
     g_para_restricted,
     g_single_gentile,
     g_single_gentile_average,
 )
+from fockcount.registry import COUNT_FAMILIES, _integer_gap
 from fockcount.restrictions import (
     CapacityExceededError,
     CSRule,
@@ -410,6 +412,8 @@ def test_count_closed_form_refuses_as_its_oracle_rule(family):
         (lambda: g_haldane_cs(0, 0, 0), lambda: CSRule(0, 0)),
         (lambda: g_single_gentile(0, 0), lambda: GentileRule(0)),
         (lambda: g_single_gentile_average(0), lambda: GentileRule(0)),
+        (lambda: g_gentile_average((3,), 3), lambda: GentileRule(0)),
+        (lambda: compare_gentile_average((3,), 3), lambda: GentileRule(0)),
         (lambda: g_para_restricted(5, 1, 1, 0, "fermi"), lambda: TotalCapRule(0)),
         (lambda: phi_structure(1, 0), lambda: GentileRule(0)),
         (lambda: truncated_bose_structure(0, 0), lambda: GentileRule(0)),
@@ -418,7 +422,8 @@ def test_count_closed_form_refuses_as_its_oracle_rule(family):
         "count_cs_closed-p", "count_cs_closed-q", "count_cs_equal_pq",
         "avg_g_identity-p", "avg_g_identity-q", "g_cs_finite-p", "g_cs_finite-q",
         "g_average_cs-p", "g_average_cs-q", "g_haldane_cs-p", "g_haldane_cs-q",
-        "g_single_gentile", "g_single_gentile_average", "g_para_restricted",
+        "g_single_gentile", "g_single_gentile_average", "g_gentile_average",
+        "compare_gentile_average", "g_para_restricted",
         "phi_structure", "truncated_bose_structure",
     ],
 )

@@ -5,6 +5,7 @@ fraction-free elimination) against a plain Fraction Gaussian eliminator,
 determinants against the permutation-sum formula and Zagier's product
 formula."""
 
+import re
 import time
 from decimal import Decimal
 from fractions import Fraction
@@ -16,7 +17,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fockcount.algebra_engine import MAX_WORD_LETTERS, _contract, _interned
-from fockcount.cli import RULES
 from fockcount.core import bose, build_lattice, fermi, quon
 from fockcount.counting import count_enumerated
 from fockcount.gram import (
@@ -37,6 +37,7 @@ from fockcount.gram import (
     rational_rank,
     sector_dimension,
 )
+from fockcount.registry import RULES
 from fockcount.restrictions import (
     AdjacentPairRule,
     CapacityExceededError,
@@ -84,6 +85,15 @@ def test_permutation_orbit_capacity_guard():
         gram_matrix(range(1, 8), bose())
     # a large multiset with a small orbit is not refused
     assert len(permutation_orbit((1,) * 20 + (2,))) == 21
+
+
+def test_orbit_guard_names_the_callers_multiset():
+    # The Gram routes build the orbit of the renamed word (0, 0, 0, 1, 2, 3, 4).
+    message = "the orbit of (3, 3, 3, 5, 8, 9, 12) has 840 words, more than the 720"
+    for call in (permutation_orbit, lambda w: sector_dimension(w, bose()),
+                 lambda w: gram_matrix(w, quon(Fraction(1, 2)))):
+        with pytest.raises(CapacityExceededError, match=re.escape(message)):
+            call((12, 3, 9, 3, 5, 8, 3))
 
 
 def test_rational_rank_simple_cases():

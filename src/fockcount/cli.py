@@ -10,7 +10,6 @@ evaluated in any order or in parallel; rows are always emitted in grid
 order.
 """
 
-import argparse
 import csv
 import io
 import os
@@ -18,6 +17,7 @@ import sys
 from collections.abc import Iterable
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
+from types import SimpleNamespace
 
 from .core import bose, fermi, quon
 from .cs_model import Filling, energy, ground_energy, pseudomomenta
@@ -47,11 +47,19 @@ def parse_int_values(text: str) -> list[int]:
     return [int(part) for part in text.split(",") if part.strip() != ""]
 
 
+def _fraction(text: str) -> Fraction:
+    """Fraction(text); a zero denominator is a ValueError, as bad text is."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
+
+
 def parse_frac_values(text: str) -> list[Fraction]:
     text = text.strip()
     if ".." in text:
         return [Fraction(v) for v in parse_int_values(text)]
-    return [Fraction(part) for part in text.split(",") if part.strip() != ""]
+    return [_fraction(part) for part in text.split(",") if part.strip() != ""]
 
 
 def parse_float_values(text: str) -> list[float]:
@@ -121,7 +129,7 @@ def _alg_from_spec(text: str):
     if text == "fermi":
         return fermi()
     if text.startswith("quon:"):
-        return quon(Fraction(text.split(":", 1)[1]))
+        return quon(_fraction(text.split(":", 1)[1]))
     raise ValueError(f"algebra must be bose, fermi or quon:Q, got {text!r}")
 
 
@@ -389,12 +397,14 @@ COMMANDS = {
 }
 
 
-def _help_formatter(prog: str) -> argparse.HelpFormatter:
+def _help_formatter(prog: str) -> "argparse.HelpFormatter":
     """argparse's stock help formatter, sized as it sizes itself: two columns
     short of shutil.get_terminal_size().columns. The width is read here
     through os, because without a width the formatter imports shutil (and
     bz2, lzma, zlib and fnmatch with it), and argparse builds one formatter
     per add_argument."""
+    import argparse
+
     try:
         columns = int(os.environ["COLUMNS"])
     except (KeyError, ValueError):
@@ -407,8 +417,10 @@ def _help_formatter(prog: str) -> argparse.HelpFormatter:
     return argparse.HelpFormatter(prog, width=(columns or 80) - 2)
 
 
-def build_parser(commands: Iterable[str] = COMMANDS) -> argparse.ArgumentParser:
+def build_parser(commands: Iterable[str] = COMMANDS) -> "argparse.ArgumentParser":
     """The argument parser with a subparser for each named command."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="fockcount",
         formatter_class=_help_formatter,
@@ -489,12 +501,45 @@ def _apply_config(args) -> None:
             setattr(args, dests[name], spec.get("default"))
 
 
+def _parse_plain(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace build_parser(argv[:1]).parse_args(argv) gives, read off
+    the option table where argv is a command and exact long options: each
+    flag alone, each other option with one value, not starting with "-",
+    that passes its type and choices; every required option given. Else None."""
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    options = {**COMMANDS[argv[0]][1], **_COMMON}
+    dests = {name: dest for dest, name in _flags(argv[0]).items()}
+    values = dict.fromkeys(dests.values())
+    tokens = iter(argv[1:])
+    for token in tokens:
+        name = token[2:] if token.startswith("--") else None
+        if name not in options:
+            return None
+        spec, dest = options[name], dests[name]
+        if spec.get("action") == "store_true":
+            values[dest] = True
+            continue
+        text = next(tokens, "-")
+        try:
+            value = None if text.startswith("-") else spec.get("type", str)(text)
+        except (TypeError, ValueError):
+            return None
+        if value is None or value not in spec.get("choices", (value,)):
+            return None
+        values[dest] = [*(values[dest] or ()), value] if spec.get("action") == "append" else value
+    if any(spec.get("required") and values[dests[name]] is None
+           for name, spec in options.items()):
+        return None
+    return SimpleNamespace(command=argv[0], **values)
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    # A known command needs only its own subparser; anything else (--help,
-    # a typo) gets the full parser and its listing or error.
+    # Only help, usage errors and spellings the table does not read build a
+    # parser: a known command's own subparser, else the full one (a typo).
     named = argv[:1] if argv and argv[0] in COMMANDS else COMMANDS
-    args = build_parser(named).parse_args(argv)
+    args = _parse_plain(argv) or build_parser(named).parse_args(argv)
     try:
         _apply_config(args)
         header, rows, failures = COMMANDS[args.command][2](args)

@@ -10,10 +10,13 @@ import re
 import shlex
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fockcount import cli
 from fockcount.cli import (
@@ -532,6 +535,30 @@ def test_config_kind_takes_one_entry_per_check(tmp_path, capsys):
     assert _run_with_config({"kind": "binom-identity"}, ["verify"], tmp_path, capsys) == single
 
 
+# A zero denominator is bad text like any other, not a disagreement: a flag
+# gets argparse's usage error, --alg and a config file an error line; all
+# exit 2.
+@pytest.mark.parametrize("argv", [
+    ["count", "--family", "haldane-wu", "--M", "5", "--N", "2", "--g", "1/0"],
+    ["count", "--family", "real", "--M", "5", "--N", "2", "--lambda", "1/0"],
+])
+def test_a_zero_denominator_flag_is_a_usage_error(argv, capsys):
+    code, out, err = _parser_exit(argv, capsys)
+    assert code == 2 and out == ""
+    assert err.endswith(f"error: argument {argv[-2]}: invalid parse_frac_values value: '1/0'\n")
+
+
+def test_a_zero_denominator_algebra_is_an_error(capsys):
+    code, out, err = run_cli(["gram", "--multiset", "1,2", "--alg", "quon:1/0"], capsys)
+    assert (code, out, err) == (2, "", "error: zero denominator in '1/0'\n")
+
+
+def test_a_zero_denominator_in_a_config_file_is_an_error(tmp_path, capsys):
+    argv = ["count", "--family", "haldane-wu", "--M", "5", "--N", "2"]
+    code, out, err = _run_with_config({"g": "1/0"}, argv, tmp_path, capsys)
+    assert (code, out, err) == (2, "", "error: zero denominator in '1/0'\n")
+
+
 # Each command's option strings in the order its --help lists them.
 HELP_OPTIONS = {
     "count": ["--help", "--family", "--M", "--N", "--p", "--q", "--m", "--g", "--lambda",
@@ -682,6 +709,76 @@ def test_enumerate_output_is_pinned(capsys):
             code, out, err = run_cli(run, capsys)
             digest.update(f"{shlex.join(run)}\n{code}\n{err}{out}".encode())
     assert digest.hexdigest() == ENUMERATE_GOLDEN_SHA256
+
+
+# Values the table read meets, in half the draws, instead of each option's
+# OPTION_VALUES text: grids, rationals and words other options read, text no
+# type reads, a zero denominator, a leading "-" and a word no option chooses.
+VALUE_MENU = ["4", "2..6", "1/2", "6.5", "quon:1/2", "left,right", "cs-average", "",
+              "x", "-1", "1/0", "2..1", "nope"]
+OPTION_NAMES = sorted({name for _, options, _ in COMMANDS.values() for name in options})
+# Each token is an exact option and its value two times in three, else one of
+# the twists the table read must leave to argparse.
+TOKEN_FORMS = ["pair"] * 12 + ["flag", "value", "abbreviation", "equals", "help", "other"]
+
+
+@st.composite
+def _argvs(draw):
+    """A command, maybe its required options, then tokens from its option
+    table: mostly an exact option and its value, sometimes a lone flag or
+    value, an abbreviation, --opt=value, -h/--help or another command's
+    option."""
+    command = draw(st.sampled_from(list(COMMANDS)))
+    options = {**COMMANDS[command][1], **cli._COMMON}
+    argv = [command, *draw(st.sampled_from([REQUIRED.get(command, []), []]))]
+    for _ in range(draw(st.integers(0, 5))):
+        name = draw(st.sampled_from(list(options)))
+        value = OPTION_VALUES.get(name)
+        value = value[-1] if isinstance(value, list) else value
+        if not isinstance(value, str) or draw(st.booleans()):
+            value = draw(st.sampled_from([*options[name].get("choices", ()), *VALUE_MENU]))
+        flag = options[name].get("action") == "store_true"
+        argv += {
+            "pair": [f"--{name}"] + ([] if flag else [value]),
+            "flag": [f"--{name}"],
+            "value": [value],
+            "abbreviation": [f"--{name[:-1]}", value] if len(name) > 1 else [f"--{name}"],
+            "equals": [f"--{name}={value}"],
+            "help": [draw(st.sampled_from(["-h", "--help"]))],
+            "other": [f"--{draw(st.sampled_from(OPTION_NAMES))}", value],
+        }[draw(st.sampled_from(TOKEN_FORMS))]
+    return argv
+
+
+def _argparse_vars(argv):
+    """vars() of argparse's namespace for argv, or None where it exits."""
+    try:
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            return vars(build_parser(argv[:1]).parse_args(argv))
+    except SystemExit:
+        return None
+
+
+@settings(max_examples=400)
+@given(_argvs())
+def test_the_table_read_gives_argparse_namespace_or_none(argv):
+    plain = cli._parse_plain(argv)
+    parsed = _argparse_vars(argv)
+    if parsed is None:
+        assert plain is None
+    else:
+        assert plain is None or vars(plain) == parsed
+
+
+def test_the_table_reads_every_pinned_run():
+    runs = [[*argv, *oracle, "--format", fmt]
+            for argv in GOLDEN_RUNS for oracle in ([], ["--oracle"]) for fmt in ("csv", "json")]
+    runs += [[*argv, "--format", fmt] for argv in ENUMERATE_GOLDEN_RUNS for fmt in ("csv", "json")]
+    for argv in runs:
+        plain = cli._parse_plain(argv)
+        assert plain is not None, argv
+        assert vars(plain) == _argparse_vars(argv)
+    assert cli._parse_plain([]) is None and cli._parse_plain(["frob"]) is None
 
 
 def _readme_commands():

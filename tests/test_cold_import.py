@@ -1,7 +1,10 @@
 """A cold interpreter that imports fockcount and its CLI loads none of the
 modules that cost most of the start-up time; JSON output and config files
 load `json` only when they run, and a call that prints no help never loads
-`shutil`. The family registry loads without the CLI."""
+`shutil`. A call spelled with exact long options is read off the option
+table and loads neither `argparse` nor the `gettext` and `locale` it brings;
+a spelling only argparse reads, such as an abbreviation, still runs the
+same. The family registry loads without the CLI."""
 
 import json
 import subprocess
@@ -81,6 +84,35 @@ def test_a_call_without_help_loads_no_shutil(tmp_path):
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout.startswith("usage: fockcount count [-h] --family")
+
+
+# argparse, and what it imports to translate its messages.
+ARGPARSE = ("argparse", "gettext", "locale")
+
+PLAIN_CHILD = """
+import sys
+sys.path.insert(0, {src!r})
+from fockcount.cli import main
+code = main(["verify", "--kind", "cs-average", "--out", {verify!r}])
+print(code, sorted(name for name in {argparse!r} if name in sys.modules))
+codes = [main(["count", "--fam", "cs", *{grid!r}, "--out", {abbreviated!r}]),
+         main(["count", "--family", "cs", *{grid!r}, "--out", {spelled!r}])]
+print(codes, "argparse" in sys.modules)
+"""
+
+
+def test_a_plain_call_loads_no_argparse_and_an_abbreviation_still_runs(tmp_path):
+    verify, abbreviated, spelled = (tmp_path / name for name in ("v.csv", "a.csv", "s.csv"))
+    child = PLAIN_CHILD.format(src=str(SRC), verify=str(verify), argparse=ARGPARSE,
+                               grid=COUNT[3:], abbreviated=str(abbreviated),
+                               spelled=str(spelled))
+    done = subprocess.run([sys.executable, "-I", "-S", "-c", child],
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "0 []\n[0, 0] True\n"
+    assert verify.read_text(encoding="utf-8").startswith("check,params,status,detail\n")
+    assert abbreviated.read_text(encoding="utf-8") == spelled.read_text(encoding="utf-8")
+    assert spelled.read_text(encoding="utf-8").startswith("family,M,N,p,q,value")
 
 
 REGISTRY_CHILD = """

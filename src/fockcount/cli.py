@@ -14,7 +14,7 @@ import csv
 import io
 import os
 import sys
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
 from types import SimpleNamespace
@@ -26,9 +26,10 @@ from .registry import COUNT_FAMILIES, PARAM_FAMILIES, RULES, VERIFY_KINDS, _defa
 from .restrictions import (
     DEFAULT_CANDIDATE_CAP,
     CapacityExceededError,
+    _allowed_states,
     _check_candidates,
+    _check_listing,
     _check_sizes,
-    enumerate_allowed,
 )
 
 EPILOG = """Grids accept "4", "2..6" (inclusive) or "1,3,5"; rational lists
@@ -107,19 +108,28 @@ def json_cell(value):
     return value
 
 
-def render(header: list[str], rows: list[tuple], fmt: str) -> str:
+def _write_rows(fh, header: list[str], rows: Iterable[tuple], fmt: str) -> None:
+    """Write the rows to fh one at a time, as they come. JSON is the bytes
+    of json.dumps(list of row objects, indent=2) followed by a newline."""
     if fmt == "json":
         import json
 
-        payload = [dict(zip(header, (json_cell(v) for v in row))) for row in rows]
-        return json.dumps(payload, indent=2) + "\n"
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
+        encode = json.JSONEncoder(indent=2).encode
+        sep = "[\n  "
+        for row in rows:
+            fh.write(sep + encode(dict(zip(header, map(json_cell, row)))).replace("\n", "\n  "))
+            sep = ",\n  "
+        fh.write("[]\n" if sep == "[\n  " else "\n]\n")
+        return
+    writer = csv.writer(fh, lineterminator="\n")
     writer.writerow(header)
     formats = _CELL_FORMATS
-    # One row at a time: materialising every row first raises peak memory.
-    for row in rows:
-        writer.writerow([formats.get(type(v), format_cell)(v) for v in row])
+    writer.writerows([formats.get(type(v), format_cell)(v) for v in row] for row in rows)
+
+
+def render(header: list[str], rows: list[tuple], fmt: str) -> str:
+    buf = io.StringIO()
+    _write_rows(buf, header, rows, fmt)
     return buf.getvalue()
 
 
@@ -218,15 +228,17 @@ def run_count(args) -> tuple[list[str], list[tuple], int]:
 
 # ------------------------------------------------------------ enumerate ---
 
-def run_enumerate(args) -> tuple[list[str], list[tuple], int]:
+def run_enumerate(args) -> tuple[list[str], Iterator[tuple], int]:
+    """Every (M, N) point is checked first; the rows then come lazily, a
+    point's states as they are listed, so main writes each as it is made."""
     _require(args, "M", "N")
     rule = _rule_from_args(args.family, args)
+    points = list(product(args.M, args.N))
+    for m, n in points:
+        _check_listing(m, n, rule, args.cap)
     header = ["family", "M", "N", "index", "state"]
-    rows = []
-    for m, n in product(args.M, args.N):
-        states = enumerate_allowed(m, n, rule, cap=args.cap)
-        for i, state in enumerate(states):
-            rows.append((args.family, m, n, i, state))
+    rows = ((args.family, m, n, i, state) for m, n in points
+            for i, state in enumerate(_allowed_states(m, n, rule)))
     return header, rows, 0
 
 
@@ -546,13 +558,30 @@ def main(argv=None) -> int:
     except (CapacityExceededError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    text = render(header, rows, args.format)
+    status = 1 if failures else 0
+
+    def write(fh) -> None:
+        # A runner's list is rendered and written at once; enumerate's lazy
+        # rows are written as they are made.
+        if isinstance(rows, list):
+            fh.write(render(header, rows, args.format))
+        else:
+            _write_rows(fh, header, rows, args.format)
+
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-    return 1 if failures else 0
+            write(fh)
+        return status
+    try:
+        write(sys.stdout)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader left early (`| head`). Point stdout at os.devnull, so
+        # that the flush at exit does not raise again, and keep the status.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+    return status
 
 
 def console_main() -> None:

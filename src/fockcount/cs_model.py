@@ -27,6 +27,8 @@ class Filling(Frozen):
             raise ValueError(f"coupling must be >= 0, got {self.lam}")
         if not self.ring_length > 0:
             raise ValueError(f"ring length must be positive, got {self.ring_length}")
+        if not math.isfinite(self.ring_length):
+            raise ValueError(f"ring length must be finite, got {self.ring_length}")
 
     @property
     def n_particles(self) -> int:

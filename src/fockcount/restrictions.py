@@ -7,7 +7,7 @@ a rule become null states.
 """
 
 from collections import Counter
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from math import comb
 
 from .core import Frozen, MonomialState
@@ -200,6 +200,64 @@ def _count_by_last_site(n_particles: int, successors: list[Sequence[int]]) -> in
     return sum(counts)
 
 
+def _check_listing(
+    n_sites: int, n_particles: int, rule: RestrictionRule | None, cap: int
+) -> None:
+    """Every refusal of one listing, before any state is made: the (M, N)
+    domain, the candidate cap, and TypeError for a rule other than an
+    AdjacentPairRule, a GentileRule or a TotalCapRule."""
+    _check_sizes(n_sites, n_particles)
+    _check_candidates(n_sites, n_particles, cap)
+    if rule is not None and not isinstance(rule, (AdjacentPairRule, GentileRule, TotalCapRule)):
+        raise TypeError(f"unsupported rule type {type(rule).__name__}")
+
+
+def _allowed_states(
+    n_sites: int, n_particles: int, rule: RestrictionRule | None
+) -> Iterator[MonomialState]:
+    """The states of `enumerate_allowed`, one at a time, for a point that
+    `_check_listing` passed.
+
+    Words grow one site per level: each word of a level, in order, is
+    extended by the successors of its last site (`_successors`, canonical),
+    so every level stays in lexicographic order. For an AdjacentPairRule the
+    successor lists are the rule; a TotalCapRule passes every word or none;
+    a GentileRule drops each extension to m + 1 copies of one site. Levels
+    below N are lists; the words of level N are yielded as they are made.
+    """
+    if isinstance(rule, TotalCapRule):
+        # The cap reads only a word's length: every word passes, or none.
+        if n_particles > rule.cap:
+            return
+        rule = None
+    if n_particles == 0:
+        yield ()
+        return
+    words: list[MonomialState] = [(j,) for j in range(1, n_sites + 1)]
+    if n_particles == 1:
+        # One-site words extend nothing; only longer ones need the table,
+        # whose M^2 / 2 entries then stay below the candidate count.
+        yield from words
+        return
+    successors = _successors(n_sites, rule, canonical=True)
+    if isinstance(rule, GentileRule):
+        m = rule.max_occupancy
+        # A sorted word w ends in m copies of k >= w[-1] exactly when w[-m] == k.
+        for _ in range(n_particles - 2):
+            words = [w + (k,) for w in words for k in successors[w[-1]]
+                     if len(w) < m or w[-m] != k]
+        for w in words:
+            for k in successors[w[-1]]:
+                if len(w) < m or w[-m] != k:
+                    yield w + (k,)
+        return
+    for _ in range(n_particles - 2):
+        words = [w + (k,) for w in words for k in successors[w[-1]]]
+    for w in words:
+        for k in successors[w[-1]]:
+            yield w + (k,)
+
+
 def enumerate_allowed(
     n_sites: int,
     n_particles: int,
@@ -209,41 +267,12 @@ def enumerate_allowed(
     """All canonical (sorted) states passing the rule, in lexicographic order.
 
     The raw candidate space is the set of index multisets; if it exceeds the
-    cap the search is refused rather than silently truncated.
-
-    Words grow one site per level: each word of a level, in order, is
-    extended by the successors of its last site (`_successors`, canonical),
-    so every level stays in lexicographic order. For an AdjacentPairRule the
-    successor lists are the rule; a TotalCapRule passes every word or none;
-    a GentileRule drops each extension to m + 1 copies of one site. Any
-    other rule raises TypeError.
+    cap the search is refused rather than silently truncated. Rules other
+    than an AdjacentPairRule, a GentileRule or a TotalCapRule raise
+    TypeError. The listing is `_allowed_states`.
     """
-    _check_sizes(n_sites, n_particles)
-    _check_candidates(n_sites, n_particles, cap)
-    if isinstance(rule, TotalCapRule):
-        # The cap reads only a word's length: every word passes, or none.
-        if n_particles > rule.cap:
-            return []
-        rule = None
-    elif rule is not None and not isinstance(rule, (AdjacentPairRule, GentileRule)):
-        raise TypeError(f"unsupported rule type {type(rule).__name__}")
-    if n_particles == 0:
-        return [()]
-
-    words: list[MonomialState] = [(j,) for j in range(1, n_sites + 1)]
-    # One-site words extend nothing; only longer ones need the table, whose
-    # M^2 / 2 entries then stay below the candidate count.
-    successors = _successors(n_sites, rule, canonical=True) if n_particles > 1 else None
-    if not isinstance(rule, GentileRule):
-        for _ in range(n_particles - 1):
-            words = [w + (k,) for w in words for k in successors[w[-1]]]
-        return words
-    m = rule.max_occupancy
-    # A sorted word w ends in m copies of k >= w[-1] exactly when w[-m] == k.
-    for _ in range(n_particles - 1):
-        words = [w + (k,) for w in words for k in successors[w[-1]]
-                 if len(w) < m or w[-m] != k]
-    return words
+    _check_listing(n_sites, n_particles, rule, cap)
+    return list(_allowed_states(n_sites, n_particles, rule))
 
 
 def count_allowed_states(

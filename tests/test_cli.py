@@ -32,7 +32,7 @@ from fockcount.cli import (
 from fockcount.core import quon
 from fockcount.gram import gram_matrix
 from fockcount.registry import COUNT_FAMILIES, PARAM_FAMILIES, RULES
-from fockcount.restrictions import CSRule
+from fockcount.restrictions import CSRule, enumerate_allowed
 
 from oracles import gauss_rank
 
@@ -179,6 +179,14 @@ def test_spectrum_command(capsys):
     assert code == 0
     header, rows = parse_csv(out)
     assert rows[0][-1] == "true"
+
+
+@pytest.mark.parametrize("length", ["inf", "nan", "0"])
+def test_spectrum_needs_a_finite_positive_ring(length, capsys):
+    code, out, err = run_cli(["spectrum", "--N", "2", "--lambda", "1", "--L", length], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ring length must be")
 
 
 def test_verify_single_kind(capsys):
@@ -994,6 +1002,59 @@ def test_enumeration_cap_reports_capacity_error(capsys):
     )
     assert code == 2
     assert "cap" in err.lower() or "candidate" in err.lower()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_a_refused_enumerate_point_writes_no_row(fmt, tmp_path, capsys):
+    # M = 3 lists at once; M = 100 needs C(104, 5) multisets, above the cap
+    target = tmp_path / "rows.csv"
+    argv = ["enumerate", "--M", "3,100", "--N", "5", "--format", fmt]
+    code, out, err = run_cli([*argv, "--out", str(target)], capsys)
+    assert code == 2 and out == "" and "exceeds cap" in err
+    assert not target.exists()
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2 and out == "" and "exceeds cap" in err
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_a_closed_pipe_ends_a_listing_quietly(fmt):
+    # 123,410 rows, far more than a pipe holds
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "fockcount", "enumerate", "--family", "none",
+         "--M", "40", "--N", "4", "--format", fmt],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 0
+    assert first == (b"[\n" if fmt == "json" else b"family,M,N,index,state\n")
+    assert err == b""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux VmHWM")
+def test_a_listing_is_written_as_it_is_made(tmp_path):
+    # 278,257 lines: held at once, the rows and their text peak near 80 MB
+    target = tmp_path / "rows.csv"
+    argv = ["enumerate", "--family", "none", "--M", "30", "--N", "5", "--out", str(target)]
+    code = (
+        f"import sys; sys.path.insert(0, {str(Path(cli.__file__).parents[1])!r})\n"
+        "from fockcount.cli import main\n"
+        f"rc = main({argv!r})\n"
+        "hwm = [l for l in open('/proc/self/status') if l.startswith('VmHWM:')]\n"
+        "print(rc, int(hwm[0].split()[1]))\n"
+    )
+    proc = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    rc, peak_kb = map(int, proc.stdout.split())
+    assert rc == 0
+    assert peak_kb < 30 * 1024
+    text = target.read_text()
+    assert text.count("\n") == 278_257
+    rows = [("none", 30, 5, i, state) for i, state in enumerate(enumerate_allowed(30, 5))]
+    assert text == render(["family", "M", "N", "index", "state"], rows, "csv")
 
 
 def test_gram_orbit_capacity_refused_at_once():

@@ -223,6 +223,30 @@ def test_count_x_bose_matches_brute_force(m, n):
         assert count_x_bose(m, n, xs) == expected
 
 
+# Lattice sizes far beyond the brute-force grids above, where a closed form's
+# floors and binomial shifts meet the lattice edge at every N.
+_SITES = st.sampled_from([1, 2, 7, 31, 64, 120])
+_GAP_SETS = st.sets(st.integers(1, 5), min_size=1, max_size=3).map(lambda xs: tuple(sorted(xs)))
+# count family -> a strategy for its option values
+_SITE_TABLE_FAMILIES = {
+    "cs": st.tuples(st.integers(0, 3), st.integers(1, 3)),
+    "cs-bose": st.tuples(st.integers(1, 3)),
+    "window-min": st.tuples(st.integers(0, 3)),
+    "x-fermi": st.tuples(_GAP_SETS),
+    "x-bose": st.tuples(_GAP_SETS),
+}
+
+
+@given(st.data(), _SITES, st.integers(1, 8))
+@pytest.mark.parametrize("family", _SITE_TABLE_FAMILIES)
+def test_closed_form_counts_the_site_table_on_large_lattices(family, data, m, n):
+    # each gap family's closed form against its oracle rule, counted on the
+    # site table without listing
+    _, closed, _, oracle_rule, _ = COUNT_FAMILIES[family]
+    values = data.draw(_SITE_TABLE_FAMILIES[family])
+    assert closed(m, n, *values) == count_allowed_states(m, n, oracle_rule(*values))
+
+
 def test_count_x_bose_convolution_structure():
     # N particles on k distinct support sites, k summed with binomial weight
     m, n, xs = 6, 3, (2,)

@@ -191,6 +191,7 @@ INVALID = [
     (lambda: Filling((0, -1), 1, 2.0), "gap excitations must be non-negative"),
     (lambda: Filling((0,), -1, 2.0), "coupling must be >= 0, got -1"),
     (lambda: Filling((0,), 1, 0.0), "ring length must be positive, got 0.0"),
+    (lambda: Filling((0,), 1, float("inf")), "ring length must be finite, got inf"),
 ]
 
 

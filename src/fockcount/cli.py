@@ -16,7 +16,7 @@ import os
 import sys
 from collections.abc import Iterable, Iterator
 from fractions import Fraction
-from itertools import combinations_with_replacement, product
+from itertools import chain, combinations_with_replacement, product
 from types import SimpleNamespace
 
 from .core import bose, fermi, quon
@@ -108,28 +108,19 @@ def json_cell(value):
     return value
 
 
-def _write_rows(fh, header: list[str], rows: Iterable[tuple], fmt: str) -> None:
-    """Write the rows to fh one at a time, as they come. JSON is the bytes
-    of json.dumps(list of row objects, indent=2) followed by a newline."""
+def render(header: list[str], rows: list[tuple], fmt: str) -> str:
+    """The rows as CSV under the header, or as json.dumps(list of row
+    objects, indent=2) followed by a newline."""
     if fmt == "json":
         import json
 
-        encode = json.JSONEncoder(indent=2).encode
-        sep = "[\n  "
-        for row in rows:
-            fh.write(sep + encode(dict(zip(header, map(json_cell, row)))).replace("\n", "\n  "))
-            sep = ",\n  "
-        fh.write("[]\n" if sep == "[\n  " else "\n]\n")
-        return
-    writer = csv.writer(fh, lineterminator="\n")
+        payload = [dict(zip(header, map(json_cell, row))) for row in rows]
+        return json.dumps(payload, indent=2) + "\n"
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
     formats = _CELL_FORMATS
     writer.writerows([formats.get(type(v), format_cell)(v) for v in row] for row in rows)
-
-
-def render(header: list[str], rows: list[tuple], fmt: str) -> str:
-    buf = io.StringIO()
-    _write_rows(buf, header, rows, fmt)
     return buf.getvalue()
 
 
@@ -228,18 +219,64 @@ def run_count(args) -> tuple[list[str], list[tuple], int]:
 
 # ------------------------------------------------------------ enumerate ---
 
-def run_enumerate(args) -> tuple[list[str], Iterator[tuple], int]:
-    """Every (M, N) point is checked first; the rows then come lazily, a
-    point's states as they are listed, so main writes each as it is made."""
+def _csv_row_parts(family: str, m: int, n: int) -> tuple[str, str, str, str]:
+    """The fixed text of one point's CSV rows; csv.writer quotes the prefix."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow((family, m, n, ""))
+    return buf.getvalue()[:-1], ",", " ", "\n"
+
+
+def _json_row_parts(family: str, m: int, n: int) -> tuple[str, str, str, str]:
+    """The fixed text of one point's JSON row objects, each led by ",\\n", in
+    the layout of json.dumps(rows, indent=2)."""
+    import json
+
+    head = (f',\n  {{\n    "family": {json.dumps(family)},\n    "M": {m},\n    "N": {n},\n'
+            '    "index": ')
+    if n == 0:
+        return head, ',\n    "state": []\n  }', "", ""
+    return head, ',\n    "state": [\n      ', ",\n      ", "\n    ]\n  }"
+
+
+def _point_rows(parts: tuple[str, str, str, str], m: int, n: int, rule) -> Iterator[str]:
+    """The text of each row of one point, as its state is listed: head,
+    index, open, the state's sites joined by sep, close. Each site's text
+    is made once per point."""
+    head, open_, sep, close = parts
+    site = [str(j) for j in range(m + 1)]
+    return (f"{head}{i}{open_}{sep.join([site[x] for x in w])}{close}"
+            for i, w in enumerate(_allowed_states(m, n, rule)))
+
+
+def _json_array(objects: Iterator[str]) -> Iterator[str]:
+    """The "[\\n" ... "\\n]\\n" frame around objects that each start with
+    ",\\n" (the first loses it), or "[]\\n" for none."""
+    first = next(objects, None)
+    if first is None:
+        yield "[]\n"
+        return
+    yield "[\n" + first[2:]
+    yield from objects
+    yield "\n]\n"
+
+
+def run_enumerate(args) -> tuple[list[str], Iterator[str], int]:
+    """Every (M, N) point is checked first. The listing then comes as lazy
+    text, the bytes render(header, rows, args.format) gives for the rows
+    (family, M, N, index, state), each row made as its state is listed, so
+    main writes each as it is made."""
     _require(args, "M", "N")
     rule = _rule_from_args(args.family, args)
     points = list(product(args.M, args.N))
     for m, n in points:
         _check_listing(m, n, rule, args.cap)
     header = ["family", "M", "N", "index", "state"]
-    rows = ((args.family, m, n, i, state) for m, n in points
-            for i, state in enumerate(_allowed_states(m, n, rule)))
-    return header, rows, 0
+    parts = _json_row_parts if args.format == "json" else _csv_row_parts
+    rows = chain.from_iterable(_point_rows(parts(args.family, m, n), m, n, rule)
+                               for m, n in points)
+    if args.format == "json":
+        return header, _json_array(rows), 0
+    return header, chain([",".join(header) + "\n"], rows), 0
 
 
 # ----------------------------------------------------------------- gram ---
@@ -555,25 +592,21 @@ def main(argv=None) -> int:
     try:
         _apply_config(args)
         header, rows, failures = COMMANDS[args.command][2](args)
+        # A runner's list is rendered and written at once; enumerate's lazy
+        # lines are written as they are made.
+        lines = [render(header, rows, args.format)] if isinstance(rows, list) else rows
+        # opened once every refusal has passed, so a refused run makes no file
+        out = open(args.out, "w", encoding="utf-8", newline="") if args.out else None
     except (CapacityExceededError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     status = 1 if failures else 0
-
-    def write(fh) -> None:
-        # A runner's list is rendered and written at once; enumerate's lazy
-        # rows are written as they are made.
-        if isinstance(rows, list):
-            fh.write(render(header, rows, args.format))
-        else:
-            _write_rows(fh, header, rows, args.format)
-
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            write(fh)
+    if out is not None:
+        with out:
+            out.writelines(lines)
         return status
     try:
-        write(sys.stdout)
+        sys.stdout.writelines(lines)
         sys.stdout.flush()
     except BrokenPipeError:
         # The reader left early (`| head`). Point stdout at os.devnull, so

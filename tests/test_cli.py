@@ -15,7 +15,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fockcount import cli
@@ -1033,11 +1033,8 @@ def test_a_closed_pipe_ends_a_listing_quietly(fmt):
     assert err == b""
 
 
-@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux VmHWM")
-def test_a_listing_is_written_as_it_is_made(tmp_path):
-    # 278,257 lines: held at once, the rows and their text peak near 80 MB
-    target = tmp_path / "rows.csv"
-    argv = ["enumerate", "--family", "none", "--M", "30", "--N", "5", "--out", str(target)]
+def _listing_peak_kb(argv):
+    """Run main(argv) in a fresh interpreter; its exit code and peak RSS in kB."""
     code = (
         f"import sys; sys.path.insert(0, {str(Path(cli.__file__).parents[1])!r})\n"
         "from fockcount.cli import main\n"
@@ -1049,12 +1046,96 @@ def test_a_listing_is_written_as_it_is_made(tmp_path):
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
     rc, peak_kb = map(int, proc.stdout.split())
+    return rc, peak_kb
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux VmHWM")
+def test_a_listing_is_written_as_it_is_made(tmp_path):
+    # 278,257 lines: held at once, the rows and their text peak near 80 MB
+    target = tmp_path / "rows.csv"
+    argv = ["enumerate", "--family", "none", "--M", "30", "--N", "5", "--out", str(target)]
+    rc, peak_kb = _listing_peak_kb(argv)
     assert rc == 0
     assert peak_kb < 30 * 1024
     text = target.read_text()
     assert text.count("\n") == 278_257
     rows = [("none", 30, 5, i, state) for i, state in enumerate(enumerate_allowed(30, 5))]
     assert text == render(["family", "M", "N", "index", "state"], rows, "csv")
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux VmHWM")
+def test_a_json_listing_is_written_as_it_is_made(tmp_path):
+    target = tmp_path / "rows.json"
+    argv = ["enumerate", "--family", "none", "--M", "30", "--N", "5", "--format", "json",
+            "--out", str(target)]
+    rc, peak_kb = _listing_peak_kb(argv)
+    assert rc == 0
+    assert peak_kb < 30 * 1024
+    objects = json.loads(target.read_text())
+    states = enumerate_allowed(30, 5)
+    assert len(objects) == len(states) == 278_256
+    for i in (0, -1):
+        index = i % len(states)
+        assert objects[i] == {"family": "none", "M": 30, "N": 5, "index": index,
+                              "state": list(states[i])}
+
+
+# Each rule family's options, by dest, over values in its rule's domain.
+_LISTING_OPTIONS = {
+    "none": {},
+    "cs": {"p": st.integers(0, 3), "q": st.integers(1, 3)},
+    "cs-bose": {"q": st.integers(1, 3)},
+    "x-fermi": {"x_set": st.sets(st.integers(1, 6), min_size=1)},
+    "x-bose": {"x_set": st.sets(st.integers(1, 6), min_size=1)},
+    "window-min": {"p": st.integers(0, 3)},
+    "window-max": {"p": st.integers(1, 3)},
+    "gentile": {"m": st.integers(1, 3)},
+    "total-cap": {"p": st.integers(1, 4)},
+}
+
+
+@st.composite
+def _listings(draw):
+    """An enumerate family, its option values, an M grid (M <= 9), an N grid
+    (N <= 4) and a format."""
+    family = draw(st.sampled_from(list(RULES)))
+    values = {name: draw(strategy) for name, strategy in _LISTING_OPTIONS[family].items()}
+    ms = draw(st.lists(st.integers(1, 9), min_size=1, max_size=3))
+    ns = draw(st.lists(st.integers(0, 4), min_size=1, max_size=3))
+    return family, values, ms, ns, draw(st.sampled_from(["csv", "json"]))
+
+
+@given(listing=_listings())
+# total-cap 2: N = 4 lists nothing before N = 0 and N = 2 list; cap 1 lists nothing at all
+@example(listing=("total-cap", {"p": 2}, [3, 1], [4, 0, 2], "csv"))
+@example(listing=("total-cap", {"p": 2}, [3, 1], [4, 0, 2], "json"))
+@example(listing=("total-cap", {"p": 1}, [2], [2, 3], "csv"))
+@example(listing=("total-cap", {"p": 1}, [2], [2, 3], "json"))
+def test_a_listing_is_render_of_enumerate_allowed(listing, tmp_path_factory):
+    family, values, ms, ns, fmt = listing
+    target = tmp_path_factory.mktemp("listing") / "rows"
+    argv = ["enumerate", "--family", family, "--M", ",".join(map(str, ms)),
+            "--N", ",".join(map(str, ns)), "--format", fmt, "--out", str(target)]
+    for name, value in values.items():
+        text = ",".join(map(str, sorted(value))) if name == "x_set" else str(value)
+        argv += [f"--{name.replace('_', '-')}", text]
+    assert main(argv) == 0
+    options, build = RULES[family]
+    rule = build(*[tuple(sorted(values[name])) if name == "x_set" else values[name]
+                   for name in options])
+    rows = [(family, m, n, i, state) for m in ms for n in ns
+            for i, state in enumerate(enumerate_allowed(m, n, rule))]
+    header = ["family", "M", "N", "index", "state"]
+    assert target.read_bytes().decode() == render(header, rows, fmt)
+
+
+@pytest.mark.parametrize("command", ["count", "enumerate"])
+def test_an_out_file_that_cannot_be_opened_is_an_error(command, tmp_path, capsys):
+    target = tmp_path / "no" / "such" / "x.csv"
+    argv = [command, "--family", "cs", "--M", "3", "--N", "2", "--p", "1", "--q", "1",
+            "--out", str(target)]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2 and out == "" and err.startswith("error:")
 
 
 def test_gram_orbit_capacity_refused_at_once():

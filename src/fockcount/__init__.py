@@ -12,14 +12,10 @@ products, take its exact rank) so every formula can be cross-checked.
 
 from .core import (
     AlgebraSpec,
-    BOSE,
-    FERMI,
     ModeLattice,
-    OccupancyConfig,
     bose,
     build_lattice,
     fermi,
-    occupancy_of,
     quon,
 )
 from .counting import (
@@ -38,17 +34,13 @@ from .counting import (
     count_window_min,
     count_x_bose,
     count_x_fermi,
-    lambda_eff,
 )
 from .cs_model import (
     Filling,
-    blocked_oscillators,
     energy,
     ground_energy,
     ground_filling,
-    phi_structure,
     pseudomomenta,
-    truncated_bose_structure,
 )
 from .algebra_engine import inner_product
 from .gram import (
@@ -69,12 +61,10 @@ from .haldane_params import (
     compare_single_gentile,
     g_average_cs,
     g_cs_finite,
-    g_gentile,
     g_gentile_average,
     g_haldane_cs,
     g_para_restricted,
     g_single_gentile,
-    g_single_gentile_average,
 )
 from .restrictions import (
     CSRule,
@@ -95,16 +85,13 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AlgebraSpec",
-    "BOSE",
     "CSRule",
     "CapacityExceededError",
-    "FERMI",
     "Filling",
     "GReport",
     "GentileRule",
     "GramMatrix",
     "ModeLattice",
-    "OccupancyConfig",
     "RestrictionRule",
     "TotalCapRule",
     "WindowRule",
@@ -113,7 +100,6 @@ __all__ = [
     "avg_g_identity_holds",
     "binom",
     "binomial_identity_holds",
-    "blocked_oscillators",
     "bose",
     "build_lattice",
     "compare_cs_finite",
@@ -141,25 +127,19 @@ __all__ = [
     "fermi",
     "g_average_cs",
     "g_cs_finite",
-    "g_gentile",
     "g_gentile_average",
     "g_haldane_cs",
     "g_para_restricted",
     "g_single_gentile",
-    "g_single_gentile_average",
     "gram_matrix",
     "ground_energy",
     "ground_filling",
     "inner_product",
     "is_allowed",
-    "lambda_eff",
-    "occupancy_of",
     "one_particle_dimension",
     "permutation_orbit",
-    "phi_structure",
     "pseudomomenta",
     "quon",
     "rational_rank",
     "sector_dimension",
-    "truncated_bose_structure",
 ]

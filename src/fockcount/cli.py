@@ -601,19 +601,25 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     status = 1 if failures else 0
-    if out is not None:
-        with out:
-            out.writelines(lines)
-        return status
     try:
-        sys.stdout.writelines(lines)
-        sys.stdout.flush()
-    except BrokenPipeError:
-        # The reader left early (`| head`). Point stdout at os.devnull, so
-        # that the flush at exit does not raise again, and keep the status.
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
+        if out is None:
+            sys.stdout.writelines(lines)
+            sys.stdout.flush()
+        else:
+            with out:
+                out.writelines(lines)
+    except OSError as exc:
+        if out is None:
+            # Point stdout at os.devnull, so that the flush at exit does not
+            # raise again.
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        if isinstance(exc, BrokenPipeError):
+            return status  # the reader left early (`| head`)
+        # a failed write (a full disk); a partly written --out file stays
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     return status
 
 

@@ -1,10 +1,9 @@
-"""Shared domain types: lattices, monomial states, occupancies, algebras.
+"""Shared domain types: lattices, monomial states, algebras.
 
 Everything downstream (inner products, Gram ranks, counting laws) is built
 on exact rational arithmetic; floats appear only in the spectrum module.
 """
 
-from collections import Counter
 from fractions import Fraction
 
 # A monomial state is the ordered word of creation-operator mode indices
@@ -113,31 +112,6 @@ def build_lattice(n_sites: int) -> ModeLattice:
     if n_sites < 1:
         raise ValueError(f"lattice size must be >= 1, got {n_sites}")
     return ModeLattice(tuple(range(1, n_sites + 1)))
-
-
-class OccupancyConfig(Frozen):
-    """Occupation numbers of a state; only occupied sites are stored."""
-
-    # counts: ((site, multiplicity), ...), site-ascending; total: int
-    __slots__ = ("counts", "total")
-
-    def count(self, site: int) -> int:
-        for s, c in self.counts:
-            if s == site:
-                return c
-        return 0
-
-    def as_dict(self) -> dict[int, int]:
-        return dict(self.counts)
-
-
-def occupancy_of(state: MonomialState, lattice: ModeLattice) -> OccupancyConfig:
-    """Site multiplicities of a word; insensitive to the word's ordering."""
-    for idx in state:
-        if idx not in lattice:
-            raise ValueError(f"index {idx} is not a site of the lattice")
-    counts = tuple(sorted(Counter(state).items()))
-    return OccupancyConfig(counts=counts, total=len(state))
 
 
 class AlgebraSpec(Frozen):

@@ -97,31 +97,17 @@ def count_haldane_wu(n_sites: int, n_particles: int, g) -> int:
     return binom(n_sites + int(shift), n_particles)
 
 
-def count_real(n_sites: int, n_particles: int, lam, literal_bottom: bool = False) -> int:
+def count_real(n_sites: int, n_particles: int, lam) -> int:
     """Counting law for a real coupling: C(M + N - 1 - ceil((N-1)*lam), N).
 
-    At integer lam this reproduces the integer-gap law. `literal_bottom`
-    switches the lower binomial index to N - 1, a printed variant kept for
-    diagnostics only; it breaks the integer-lam coincidence.
+    At integer lam this reproduces the integer-gap law.
     """
     _check_sizes(n_sites, n_particles)
     lam = Fraction(lam)
     if lam < 0:
         raise ValueError(f"coupling must be >= 0, got {lam}")
     top = n_sites + n_particles - 1 - math.ceil((n_particles - 1) * lam)
-    bottom = n_particles - 1 if literal_bottom else n_particles
-    return binom(top, bottom)
-
-
-def lambda_eff(n_particles: int, lam) -> Fraction:
-    """Effective coupling ceil((N-1)*lam)/(N-1) whose integer-gap count
-    coincides with the real-coupling count."""
-    if n_particles < 2:
-        raise ValueError("effective coupling needs at least two particles")
-    lam = Fraction(lam)
-    if lam < 0:
-        raise ValueError(f"coupling must be >= 0, got {lam}")
-    return Fraction(math.ceil((n_particles - 1) * lam), n_particles - 1)
+    return binom(top, n_particles)
 
 
 def count_x_fermi(n_sites: int, n_particles: int, gaps: Iterable[int]) -> int:

@@ -11,7 +11,6 @@ import math
 from fractions import Fraction
 
 from .core import Frozen
-from .restrictions import GentileRule
 
 
 class Filling(Frozen):
@@ -88,54 +87,3 @@ def ground_energy(n_particles: int, lam, ring_length: float) -> float:
         / (3 * ring_length**2)
     )
 
-
-def blocked_oscillators(
-    n_particles: int, p: int, q: int,
-    gap_excitations: tuple[int, ...] | None = None,
-) -> int:
-    """Oscillators made unavailable by an N-particle gap-rule state:
-    N*p + (p-1) plus n_a*q per excited internal gap (n_a*(p-1) when the two
-    rule parameters coincide or p = 1, where only the packed sites block).
-
-    gap_excitations holds the N-1 internal gap quantum numbers; None means
-    the closest-packed ground state.
-    """
-    if n_particles < 1:
-        raise ValueError(f"particle number must be >= 1, got {n_particles}")
-    if p < 1 or q < 1:
-        raise ValueError(f"need p >= 1 and q >= 1, got p={p}, q={q}")
-    if gap_excitations is None:
-        gap_excitations = (0,) * (n_particles - 1)
-    gaps = tuple(gap_excitations)
-    if len(gaps) != n_particles - 1:
-        raise ValueError(
-            f"expected {n_particles - 1} internal gap excitations, got {len(gaps)}"
-        )
-    if any(g < 0 for g in gaps):
-        raise ValueError("gap excitations must be non-negative")
-    per_excitation = (p - 1) if (p == q or p == 1) else q
-    return n_particles * p + (p - 1) + per_excitation * sum(gaps)
-
-
-def phi_structure(n: int, max_occupancy: int) -> float:
-    """Structure function sin(n*lam/2)/sin(lam/2) at lam = 2*pi/(m+1).
-
-    Positive for 1 <= n <= m and zero at n = m + 1, which truncates the
-    single-oscillator ladder at m particles.
-    """
-    GentileRule(max_occupancy)
-    if n < 0:
-        raise ValueError(f"level must be >= 0, got {n}")
-    lam = 2 * math.pi / (max_occupancy + 1)
-    return math.sin(n * lam / 2) / math.sin(lam / 2)
-
-
-def truncated_bose_structure(n: int, max_occupancy: int) -> int:
-    """Eigenvalue of a a+ on the n-particle level of the truncated Bose
-    oscillator: n + 1 below the cap, 0 exactly at it."""
-    GentileRule(max_occupancy)
-    if not 0 <= n <= max_occupancy:
-        raise ValueError(
-            f"level must lie in 0..{max_occupancy}, got {n}"
-        )
-    return 0 if n == max_occupancy else n + 1

@@ -99,20 +99,6 @@ def _check_pattern(pattern: Sequence[int], n_sites: int) -> int:
     return len(pattern) - 1
 
 
-def g_gentile(pattern: Sequence[int], n_sites: int, target_fill: int) -> int:
-    """Parameter for adding one particle to an oscillator currently holding
-    target_fill particles: 1 when that oscillator is one below the cap,
-    0 for any lower filling."""
-    m = _check_pattern(pattern, n_sites)
-    if not 0 <= target_fill <= m - 1:
-        raise ValueError(
-            f"target filling must lie in 0..{m - 1}, got {target_fill}"
-        )
-    if pattern[target_fill] < 1:
-        raise ValueError(f"no oscillator currently holds {target_fill} particles")
-    return 1 if target_fill == m - 1 else 0
-
-
 def g_gentile_average(pattern: Sequence[int], n_sites: int) -> Fraction:
     """Parameter averaged over all admissible one-particle additions:
     n_{m-1} / (M - n_m). Depends on the configuration, not just on m."""
@@ -132,13 +118,6 @@ def g_single_gentile(filling: int, max_occupancy: int) -> int:
             f"filling must lie in 0..{max_occupancy - 1}, got {filling}"
         )
     return 1 if filling + 1 == max_occupancy else 0
-
-
-def g_single_gentile_average(max_occupancy: int) -> Fraction:
-    """Average of the single-oscillator parameter over one full fill: 1/m."""
-    GentileRule(max_occupancy)
-    total = sum(g_single_gentile(n, max_occupancy) for n in range(max_occupancy))
-    return Fraction(total, max_occupancy)
 
 
 def g_para_restricted(n_sites: int, n: int, k: int, p: int, kind: str) -> Fraction:

@@ -12,6 +12,7 @@ from fractions import Fraction
 from itertools import combinations_with_replacement, product
 from math import factorial, pi
 
+from fockcount.algebra_engine import MAX_WORD_LETTERS
 from fockcount.core import bose, fermi, quon
 from fockcount.counting import (
     avg_g_identity_holds,
@@ -26,7 +27,6 @@ from fockcount.cs_model import (
     energy,
     ground_energy,
     ground_filling,
-    phi_structure,
     pseudomomenta,
 )
 from fockcount.gram import sector_dimension
@@ -253,18 +253,21 @@ def test_criterion_10_ground_energy_closed_form():
 
 
 def test_criterion_11_structure_function_sign_and_truncation():
+    # the m-capped single oscillator: a+^n |0> survives the Gram rank for
+    # 1 <= n <= m and vanishes at n = m + 1, up to the longest word a
+    # contraction takes
     bad = []
-    for cap in range(1, 51):
+    for cap in range(1, MAX_WORD_LETTERS):
         for n in range(1, cap + 1):
-            if not phi_structure(n, cap) > 0:
+            if sector_dimension((1,) * n, bose(), GentileRule(cap)) != 1:
                 bad.append((n, cap))
-        if not abs(phi_structure(cap + 1, cap)) < 1e-12:
+        if sector_dimension((1,) * (cap + 1), bose(), GentileRule(cap)) != 0:
             bad.append(("truncation", cap))
     report(
         11,
-        "ladder structure function positive below cap, zero above",
+        "single-oscillator ladder has rank 1 below the cap, 0 above",
         not bad,
-        f"first bad {bad[0]}" if bad else "caps up to 50",
+        f"first bad {bad[0]}" if bad else f"caps up to {MAX_WORD_LETTERS - 1}",
     )
 
 

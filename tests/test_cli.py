@@ -1138,6 +1138,24 @@ def test_an_out_file_that_cannot_be_opened_is_an_error(command, tmp_path, capsys
     assert code == 2 and out == "" and err.startswith("error:")
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("command", ["count", "enumerate"])
+@pytest.mark.parametrize("sink", ["out", "stdout"])
+def test_a_failed_write_is_an_error(command, sink):
+    # /dev/full refuses every write with ENOSPC, as a full disk does
+    argv = [sys.executable, "-m", "fockcount", command, "--family", "cs",
+            "--M", "3", "--N", "2", "--p", "1", "--q", "1"]
+    if sink == "out":
+        proc = subprocess.run([*argv, "--out", "/dev/full"], capture_output=True, text=True,
+                              timeout=60)
+    else:
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(argv, stdout=full, stderr=subprocess.PIPE, text=True,
+                                  timeout=60)
+    assert proc.returncode == 2
+    assert proc.stderr == "error: [Errno 28] No space left on device\n"
+
+
 def test_gram_orbit_capacity_refused_at_once():
     proc = subprocess.run(
         [sys.executable, "-m", "fockcount", "gram", "--multiset", "1,2,3,4,5,6,7,8",

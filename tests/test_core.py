@@ -1,16 +1,13 @@
 from fractions import Fraction
-from itertools import permutations
 
 import pytest
 
 from fockcount.core import (
     AlgebraSpec,
     ModeLattice,
-    OccupancyConfig,
     bose,
     build_lattice,
     fermi,
-    occupancy_of,
     quon,
 )
 
@@ -37,45 +34,6 @@ def test_custom_lattice_sites():
     lat = ModeLattice(sites=(2, 5, 9))
     assert lat.size == 3
     assert 5 in lat and 3 not in lat
-
-
-def test_occupancy_of_counts_multiplicities():
-    lat = build_lattice(4)
-    occ = occupancy_of((2, 2, 3), lat)
-    assert occ.total == 3
-    assert occ.count(2) == 2
-    assert occ.count(3) == 1
-    assert occ.count(1) == 0
-    assert occ.as_dict() == {2: 2, 3: 1}
-
-
-def test_occupancy_of_rejects_foreign_sites():
-    lat = build_lattice(3)
-    with pytest.raises(ValueError):
-        occupancy_of((1, 4), lat)
-
-
-def test_occupancy_of_vacuum_word():
-    lat = build_lattice(4)
-    occ = occupancy_of((), lat)
-    assert occ.total == 0
-    assert occ.as_dict() == {}
-    assert all(occ.count(site) == 0 for site in lat)
-
-
-def test_occupancy_of_ignores_word_order():
-    lat = build_lattice(5)
-    for word in ((1, 2, 2), (3, 1, 4, 1), (5, 5, 5), (2, 4)):
-        reference = occupancy_of(word, lat)
-        for reordered in set(permutations(word)):
-            assert occupancy_of(reordered, lat) == reference
-
-
-def test_occupancy_config_is_hashable():
-    a = OccupancyConfig(counts=((1, 2), (3, 1)), total=3)
-    b = OccupancyConfig(counts=((1, 2), (3, 1)), total=3)
-    assert a == b
-    assert hash(a) == hash(b)
 
 
 def test_bose_fermi_fixed_parameters():

@@ -9,13 +9,10 @@ from hypothesis import strategies as st
 
 from fockcount.cs_model import (
     Filling,
-    blocked_oscillators,
     energy,
     ground_energy,
     ground_filling,
-    phi_structure,
     pseudomomenta,
-    truncated_bose_structure,
 )
 
 TWO_PI = 2 * math.pi
@@ -99,57 +96,3 @@ def test_zero_coupling_gaps_come_from_excitations_alone():
     diffs = [b - a for a, b in zip(ks, ks[1:])]
     assert diffs == pytest.approx([2.0, 0.0, 1.0])
     assert ks[0] == 0  # symmetric anchor collapses to zero at lam = 0
-
-
-def test_blocked_oscillators_ground():
-    assert blocked_oscillators(3, 2, 1) == 3 * 2 + 1
-    assert blocked_oscillators(1, 1, 1) == 1
-
-
-def test_blocked_oscillators_equal_parameters_form_fermi_groups():
-    # each particle blocks its own group of p sites plus one shared wall
-    for p in range(1, 5):
-        for n in range(1, 6):
-            assert blocked_oscillators(n, p, p) == n * p + (p - 1)
-
-
-def test_blocked_oscillators_with_gap_excitations():
-    # equal p and q: each gap excitation blocks p-1 more oscillators
-    assert blocked_oscillators(2, 2, 2, (1,)) == 2 * 2 + 1 + 1
-    # p = 1: excitations block nothing extra beyond the q-steps... p-1 = 0
-    assert blocked_oscillators(2, 1, 3, (2,)) == 2 * 1 + 0 + 0
-    # generic p != q, p > 1: each excitation blocks q more
-    assert blocked_oscillators(2, 3, 2, (2,)) == 2 * 3 + 2 + 4
-
-
-def test_blocked_oscillators_validation():
-    with pytest.raises(ValueError):
-        blocked_oscillators(2, 2, 2, (1, 1))  # needs N-1 entries
-    with pytest.raises(ValueError):
-        blocked_oscillators(0, 2, 2)
-    with pytest.raises(ValueError):
-        blocked_oscillators(2, 2, 2, (-1,))
-
-
-def test_phi_structure_positive_below_cap():
-    for m in range(1, 20):
-        for n in range(1, m + 1):
-            assert phi_structure(n, m) > 0
-        assert abs(phi_structure(m + 1, m)) < 1e-12
-
-
-def test_phi_structure_values():
-    assert phi_structure(1, 2) == pytest.approx(1.0)
-    assert phi_structure(2, 2) == pytest.approx(1.0)
-    lam = 2 * math.pi / 4
-    assert phi_structure(2, 3) == pytest.approx(math.sin(lam) / math.sin(lam / 2))
-
-
-def test_truncated_bose_structure():
-    assert truncated_bose_structure(0, 3) == 1
-    assert truncated_bose_structure(2, 3) == 3
-    assert truncated_bose_structure(3, 3) == 0
-    with pytest.raises(ValueError):
-        truncated_bose_structure(4, 3)
-    with pytest.raises(ValueError):
-        truncated_bose_structure(-1, 3)

@@ -17,7 +17,6 @@ from fockcount import (
     GramMatrix,
     GReport,
     ModeLattice,
-    OccupancyConfig,
     TotalCapRule,
     WindowRule,
     XBoseRule,
@@ -32,9 +31,6 @@ ENTRIES = ((Fraction(1), HALF), (HALF, Fraction(1)))
 RECORDS = [
     (ModeLattice, ((1, 2, 3),), {"sites": (1, 2, 3)},
      "ModeLattice(sites=(1, 2, 3))", ModeLattice((1, 2, 4))),
-    (OccupancyConfig, (((1, 2), (3, 1)), 3), {"counts": ((1, 2), (3, 1)), "total": 3},
-     "OccupancyConfig(counts=((1, 2), (3, 1)), total=3)",
-     OccupancyConfig(((1, 3),), 3)),
     (AlgebraSpec, ("quon", HALF), {"kind": "quon", "q": HALF},
      "AlgebraSpec(kind='quon', q=Fraction(1, 2))", AlgebraSpec("quon", Fraction(0))),
     (CSRule, (1, 2), {"p": 1, "q": 2}, "CSRule(p=1, q=2)", CSRule(2, 1)),

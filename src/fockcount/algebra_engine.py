@@ -28,10 +28,11 @@ from functools import lru_cache
 from .core import AlgebraSpec, MonomialState
 from .restrictions import CapacityExceededError
 
-# Longest word contracted. A histogram has N(N-1)/2 + 1 coefficients and the
-# cache holds one per distinct sub-contraction, so memory grows with N**2
-# times the key count: at 12 letters the worst orbit within the 720-word
-# Gram guard, (1^9, 2, 2, 3), takes about 190 MB.
+# Longest word contracted. A histogram has N(N-1)/2 + 1 coefficients, and a
+# Gram build keeps one per distinct histogram of its shape and of each
+# sub-shape it is built from, so memory grows with N**2 times that count: at
+# 12 letters the worst orbit within the 720-word Gram guard, (1^9, 2, 2, 3),
+# peaks at about 60 MB built and 75 MB ranked.
 MAX_WORD_LETTERS = 12
 
 # Bits per packed histogram coefficient. A coefficient counts bijections of
@@ -61,9 +62,8 @@ def _contract(bra: MonomialState, ket: MonomialState) -> int:
     of a pi with pi(0) = pos, i.e. a shift by pos coefficients. 0 means
     orthogonal words.
     """
-    # Gram matrices evaluate the same sub-contractions many times over an
-    # orbit of permuted words; caching turns the factorial tree into a walk
-    # over distinct (sub-bra, sub-ket) pairs.
+    # Removing different creators often leaves equal sub-kets; caching turns
+    # the factorial tree into a walk over distinct (sub-bra, sub-ket) pairs.
     if not bra:
         return 1
     mode = bra[0]
@@ -72,15 +72,7 @@ def _contract(bra: MonomialState, ket: MonomialState) -> int:
     for pos, idx in enumerate(ket):
         if idx == mode:
             total += _contract(rest, ket[:pos] + ket[pos + 1 :]) << (pos * HIST_BITS)
-    return _interned(total)
-
-
-@lru_cache(maxsize=1 << 16)
-def _interned(hist: int) -> int:
-    """One shared copy of each histogram. Distinct sub-contractions often
-    have equal histograms (about seven keys per histogram on the sector
-    (1^7, 2, 2, 3)), and histograms are most of the cache's memory."""
-    return hist
+    return total
 
 
 def unpacked(hist: int) -> list[int]:

@@ -9,17 +9,20 @@ differences of those give the extended exclusion-statistics parameter.
 Gram work is keyed by shape. A multiset is renamed order-preservingly to
 the letters 0..k-1, which keeps the lexicographic order of its orbit, so
 one q-free structure per canonical word serves every labelling, algebra
-and rule: the orbit, the inversion histogram class of each entry (upper
-triangle contracted, lower mirrored) and the distinct histograms. A Gram
-matrix evaluates one value per distinct histogram and relabels the words;
-a rule zeroes the rows and columns of the words it kills. Ranks read
-integers scaled by den(q)^(N(N-1)/2) from the live submatrix and are
-cached per (canonical word, q, live-word mask), so relabelled sectors and
-the repeated sectors of one-particle dimensions are ranked once. The
-live-word mask needs no Gram structure either: a gap rule's comes from the
-canonical orbit and the letter pairs the rule bans, cached per (canonical
-word, banned pairs), and any other rule's from testing each relabelled
-word.
+and rule: the orbit, the inversion histogram class of each entry and the
+distinct histograms. The structure is built row by row from the shapes
+one letter shorter: removing the bra's first letter a turns an entry into
+a sum, over the positions of a in the ket, of entries of the smaller
+structure shifted by the position (upper triangle summed, lower
+mirrored). A Gram matrix evaluates one value per distinct histogram and
+relabels the words; a rule zeroes the rows and columns of the words it
+kills. Ranks read integers scaled by den(q)^(N(N-1)/2) from the live
+submatrix and are cached per (canonical word, q, live-word mask), so
+relabelled sectors and the repeated sectors of one-particle dimensions are
+ranked once. The live-word mask needs no Gram structure either: a gap
+rule's comes from the canonical orbit and the letter pairs the rule bans,
+cached per (canonical word, banned pairs), and any other rule's from
+testing each relabelled word.
 
 Ranks and determinants share one exact kernel over the integers. The
 matrix is scaled to integers by the common denominator of its entries, and
@@ -43,10 +46,9 @@ from numbers import Rational
 
 from .core import AlgebraSpec, Frozen, ModeLattice, MonomialState
 from .algebra_engine import (
-    _contract,
+    HIST_BITS,
     check_word_length,
     evaluate,
-    letter_names,
     scaled_polynomial,
 )
 from .restrictions import AdjacentPairRule, CapacityExceededError, RestrictionRule, is_allowed
@@ -257,11 +259,13 @@ def _relabelled(orbit: Sequence[MonomialState], letters: tuple[int, ...]) -> lis
     return [tuple([letters[x] for x in w]) for w in orbit]
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=128)
 def _canonical_orbit(word: MonomialState) -> tuple[MonomialState, ...]:
     """The orbit of a canonical word, cached apart from the Gram structure:
-    a cached rank still needs the orbit for its live-word mask. The
-    benchmark's operations touch at most 15 shapes each."""
+    a cached rank still needs the orbit for its live-word mask. A Gram
+    build fetches the orbit of each of its sub-shapes (fewer than 64, see
+    _shape_gram), so 128 entries hold a whole build and as many shapes
+    again for the live masks around it."""
     return permutation_orbit(word)
 
 
@@ -273,30 +277,61 @@ def _pair_mask(word: MonomialState, banned: frozenset[tuple[int, int]]) -> int:
                if banned.isdisjoint(zip(w, w[1:])))
 
 
-@lru_cache(maxsize=32)
+@lru_cache(maxsize=64)
 def _shape_gram(
     word: MonomialState,
 ) -> tuple[tuple[MonomialState, ...], tuple[tuple[int, ...], ...], tuple[int, ...]]:
     """q-free Gram structure of one canonical multiset: its orbit, the
     histogram index of every entry and the distinct packed histograms.
 
-    Only the upper triangle is contracted (<u|v> and <v|u> share one
-    histogram, since a bijection and its inverse have equal inversion
-    numbers); the lower one is mirrored.
+    Each row comes from the structure of a shape one letter shorter. The
+    annihilator of the bra's first letter a meets each creator a of the
+    ket v, so <a u'|v> = sum over v[pos] == a of q**pos <u'|v without pos>:
+    the histogram is a sum of sub-histograms shifted by pos coefficients. The
+    orbit is lexicographic, so the words that start with a are one block,
+    in the order of the sub-orbit of word without one a. Only the upper
+    triangle is summed (<u|v> and <v|u> share one histogram, since a
+    bijection and its inverse have equal inversion numbers); the lower one
+    is mirrored.
+
+    A build recurses into every non-empty sub-multiset of word, at most
+    prod(m_i + 1) - 1 < 64 of them within the letter and orbit guards, so
+    64 entries hold a whole build and no sub-shape is rebuilt within one.
     """
     orbit = _canonical_orbit(word)
+    if len(word) == 1:
+        return orbit, ((0,),), (1,)
     n = len(orbit)
+    letters = sorted(set(word))
+    # Per letter a: the sub-structure's rows as histograms, and the index of
+    # each sub-orbit word in this word's letters.
+    sub_rows, where = {}, {}
+    for a in letters:
+        i = word.index(a)
+        sub, names = _canonical(word[:i] + word[i + 1:])
+        sub_orbit, sub_classes, sub_hists = _shape_gram(sub)
+        sub_rows[a] = [[sub_hists[c] for c in row] for row in sub_classes]
+        where[a] = {w: k for k, w in enumerate(_relabelled(sub_orbit, names))}
+    # terms[a][j]: (shift, sub-word index) for each position of a in word j.
+    terms = {a: [[] for _ in range(n)] for a in letters}
+    for j, ket in enumerate(orbit):
+        for pos, b in enumerate(ket):
+            terms[b][j].append((pos * HIST_BITS, where[b][ket[:pos] + ket[pos + 1:]]))
     index: dict[int, int] = {}
     classes = [[0] * n for _ in range(n)]
-    for i, bra in enumerate(orbit):
-        names = letter_names(bra)
-        row = classes[i]
-        renamed = tuple([names[x] for x in bra])
-        for j in range(i, n):
-            hist = _contract(renamed, tuple([names[x] for x in orbit[j]]))
-            c = index.setdefault(hist, len(index))
-            row[j] = c
-            classes[j][i] = c
+    i = 0
+    for a in letters:
+        columns = terms[a]
+        for sub_row in sub_rows[a]:
+            row = classes[i]
+            for j in range(i, n):
+                hist = 0
+                for shift, k in columns[j]:
+                    hist += sub_row[k] << shift
+                c = index.setdefault(hist, len(index))
+                row[j] = c
+                classes[j][i] = c
+            i += 1
     return orbit, tuple(map(tuple, classes)), tuple(index)
 
 

@@ -9,14 +9,14 @@ import re
 import time
 from decimal import Decimal
 from fractions import Fraction
-from itertools import combinations_with_replacement, permutations
-from math import factorial
+from itertools import combinations_with_replacement, permutations, product
+from math import factorial, prod
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fockcount.algebra_engine import MAX_WORD_LETTERS, _contract, _interned
+from fockcount.algebra_engine import MAX_WORD_LETTERS, _contract, inner_product, letter_names
 from fockcount.core import bose, build_lattice, fermi, quon
 from fockcount.counting import count_enumerated
 from fockcount.gram import (
@@ -458,9 +458,74 @@ def test_sector_dimension_matches_gaussian_rank_over_a_sweep():
 
 
 def test_every_gram_cache_is_bounded():
-    for cache in (_contract, _interned, _canonical_orbit, _pair_mask, _shape_gram,
-                  _sector_rank):
+    for cache in (_contract, _canonical_orbit, _pair_mask, _shape_gram, _sector_rank):
         assert cache.cache_info().maxsize is not None
+
+
+def _shape_counts():
+    """The letter counts (m_0, m_1, ...) of every canonical word the letter
+    and orbit guards admit."""
+    shapes = []
+
+    def extend(counts):
+        for m in range(1, MAX_WORD_LETTERS - sum(counts) + 1):
+            grown = counts + (m,)
+            if orbit_size([i for i, c in enumerate(grown) for _ in range(c)]) > MAX_ORBIT_WORDS:
+                break
+            shapes.append(grown)
+            extend(grown)
+
+    extend(())
+    return shapes
+
+
+def _sub_shapes(counts):
+    """The distinct shapes of the non-empty sub-multisets, as letter counts."""
+    return {tuple(c for c in sub if c) for sub in product(*(range(m + 1) for m in counts))} - {()}
+
+
+def test_one_build_holds_all_its_sub_shapes_in_the_caches():
+    shapes = _shape_counts()
+    assert (1, 1, 1, 1, 1, 1) in shapes and (9, 2, 1) in shapes
+    assert (1,) * 7 not in shapes and (MAX_WORD_LETTERS + 1,) not in shapes
+    assert max(prod(m + 1 for m in counts) for counts in shapes) == 64
+    most = max(len(_sub_shapes(counts)) for counts in shapes)
+    assert most <= _shape_gram.cache_info().maxsize
+    assert 2 * most <= _canonical_orbit.cache_info().maxsize
+
+
+@pytest.mark.parametrize("ms", [(1, 2, 3, 4, 5, 6), (1, 1, 1, 1, 2, 2, 3)])
+def test_gram_build_recurses_once_per_sub_shape_and_contracts_nothing(ms):
+    _contract.cache_clear()
+    _shape_gram.cache_clear()
+    gm = gram_matrix(ms, quon(HALF))
+    assert gm.dimension == orbit_size(ms)
+    counts = tuple(ms.count(x) for x in sorted(set(ms)))
+    assert _shape_gram.cache_info().misses == len(_sub_shapes(counts)) == {6: 6, 7: 20}[len(ms)]
+    assert _contract.cache_info().misses == 0
+
+
+# Up to 6 letters on at most 4 of 12 sites, so letters repeat from 5 on.
+repeated_multisets = st.lists(st.integers(1, 12), min_size=1, max_size=4, unique=True).flatmap(
+    lambda sites: st.lists(st.sampled_from(sites), min_size=1, max_size=6))
+DUAL_ROUTE_ALGEBRAS = (bose(), fermi(), quon(HALF), quon(Fraction(-1, 3)))
+
+
+@given(repeated_multisets)
+def test_gram_build_matches_pairwise_contraction(ms):
+    """The row-by-row build against the pairwise annihilation recursion:
+    every histogram and every entry."""
+    word, _ = _canonical(ms)
+    orbit, classes, hists = _shape_gram(word)
+    for i, bra in enumerate(orbit):
+        names = letter_names(bra)
+        renamed = tuple([names[x] for x in bra])
+        for j, ket in enumerate(orbit):
+            assert hists[classes[i][j]] == _contract(renamed, tuple([names[x] for x in ket]))
+    for alg in DUAL_ROUTE_ALGEBRAS:
+        gm = gram_matrix(ms, alg)
+        for bra, row in zip(gm.states, gm.entries):
+            assert list(row) == [inner_product(bra, ket, alg) for ket in gm.states]
 
 
 def test_orbit_size_is_the_multinomial():
@@ -511,6 +576,42 @@ def test_gap_rule_params_cover_every_gap_family():
                     if isinstance(build(*[(2,) if n == "x_set" else 2 for n in names]),
                                   AdjacentPairRule)}
     assert set(GAP_RULE_PARAMS) == gap_families
+
+
+# Small parameters for every family of the CLI's rule table.
+RULE_PARAMS = {
+    **GAP_RULE_PARAMS,
+    "none": (),
+    "gentile": (st.integers(1, 3),),
+    "total-cap": (st.integers(1, 3),),
+}
+any_rules = st.sampled_from(sorted(RULE_PARAMS)).flatmap(
+    lambda family: st.tuples(*RULE_PARAMS[family]).map(lambda args: RULES[family][1](*args)))
+RANK_ALGEBRAS = (bose(), fermi(), quon(0), quon(HALF), quon(Fraction(-1, 3)),
+                 quon(Fraction(-3, 5)))
+
+
+def test_rule_params_cover_every_family():
+    assert set(RULE_PARAMS) == set(RULES)
+
+
+@given(repeated_multisets, any_rules)
+def test_projected_rank_follows_the_rank_theorem(ms, rule):
+    """For |q| < 1 the Gram matrix is positive definite, so each live word
+    adds one dimension. Bose words are one state; so are Fermi words on
+    distinct letters, and a repeated letter kills a Fermi sector. The
+    prediction is held against the kernel's rank and against plain Gaussian
+    elimination of the projected Gram matrix."""
+    live = sum(1 for w in permutation_orbit(ms) if rule is None or rule.allows(w))
+    for alg in RANK_ALGEBRAS:
+        if abs(alg.q) < 1:
+            expected = live
+        elif alg.q == -1 and len(set(ms)) < len(ms):
+            expected = 0
+        else:
+            expected = min(live, 1)
+        assert sector_dimension(ms, alg, rule) == expected
+        assert gauss_rank(gram_matrix(ms, alg, rule).entries) == expected
 
 
 @given(small_multisets, gap_rules)

@@ -78,7 +78,6 @@ from .restrictions import (
     count_allowed_states,
     count_allowed_words,
     enumerate_allowed,
-    is_allowed,
 )
 
 __version__ = "0.1.0"
@@ -135,7 +134,6 @@ __all__ = [
     "ground_energy",
     "ground_filling",
     "inner_product",
-    "is_allowed",
     "one_particle_dimension",
     "permutation_orbit",
     "pseudomomenta",

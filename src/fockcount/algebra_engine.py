@@ -11,8 +11,7 @@ The recursion is q-free. `_contract` returns the inversion-number histogram
 of the letter-preserving bijections between the two words (Bozejko and
 Speicher 1991, Zagier 1992): <bra|ket> = sum_k c_k q**k, where c_k counts
 the bijections with k inversions. One cache therefore serves Bose (q = 1),
-Fermi (q = -1) and every quon parameter, and since only letter equality
-matters, the words are renamed by first appearance before the lookup.
+Fermi (q = -1) and every quon parameter.
 
 A histogram is packed into one int (Kronecker substitution): coefficient k
 sits in bits [k*HIST_BITS, (k+1)*HIST_BITS), so appending a contraction
@@ -85,19 +84,6 @@ def unpacked(hist: int) -> list[int]:
     return coefficients
 
 
-def letter_names(bra: MonomialState) -> dict[int, int]:
-    """Letters of a word renamed 0, 1, ... in order of first appearance.
-
-    A contraction only compares letters for equality, so renaming both
-    words by one bijection keeps every histogram; relabelled and
-    same-pattern pairs then share one `_contract` entry.
-    """
-    names: dict[int, int] = {}
-    for letter in bra:
-        names.setdefault(letter, len(names))
-    return names
-
-
 def scaled_polynomial(hist: int, q: Fraction, degree: int) -> int:
     """sum_k c_k q**k times den(q)**degree, an integer when degree is at
     least the histogram's top index."""
@@ -127,6 +113,4 @@ def inner_product(bra: MonomialState, ket: MonomialState, alg: AlgebraSpec) -> F
     if sorted(bra) != sorted(ket):
         return Fraction(0)
     check_word_length(bra)
-    names = letter_names(bra)
-    hist = _contract(tuple([names[x] for x in bra]), tuple([names[x] for x in ket]))
-    return evaluate(hist, alg.q)
+    return evaluate(_contract(tuple(bra), tuple(ket)), alg.q)

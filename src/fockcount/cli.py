@@ -14,7 +14,7 @@ import csv
 import io
 import os
 import sys
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 from fractions import Fraction
 from itertools import chain, combinations_with_replacement, product
 from types import SimpleNamespace
@@ -446,43 +446,23 @@ COMMANDS = {
 }
 
 
-def _help_formatter(prog: str) -> "argparse.HelpFormatter":
-    """argparse's stock help formatter, sized as it sizes itself: two columns
-    short of shutil.get_terminal_size().columns. The width is read here
-    through os, because without a width the formatter imports shutil (and
-    bz2, lzma, zlib and fnmatch with it), and argparse builds one formatter
-    per add_argument."""
-    import argparse
-
-    try:
-        columns = int(os.environ["COLUMNS"])
-    except (KeyError, ValueError):
-        columns = 0
-    if columns <= 0:
-        try:
-            columns = os.get_terminal_size(sys.__stdout__.fileno()).columns
-        except (AttributeError, ValueError, OSError):
-            columns = 0
-    return argparse.HelpFormatter(prog, width=(columns or 80) - 2)
-
-
-def build_parser(commands: Iterable[str] = COMMANDS) -> "argparse.ArgumentParser":
-    """The argument parser with a subparser for each named command."""
+def build_parser() -> "argparse.ArgumentParser":
+    """The argument parser with a subparser for each command."""
     import argparse
 
     parser = argparse.ArgumentParser(
         prog="fockcount",
-        formatter_class=_help_formatter,
-        # names every command even when only one subparser is built
+        # one line at any width: argparse's own top-level usage wraps the
+        # command choices and "..." onto lines of their own on a narrow
+        # terminal (three lines at COLUMNS=40)
         usage="%(prog)s [-h] {" + ",".join(COMMANDS) + "} ...",
         description="Exact state counting for restricted oscillator algebras.",
         epilog=EPILOG,
     )
     subs = parser.add_subparsers(dest="command", required=True, prog="fockcount")
-    for command in commands:
-        sub = subs.add_parser(command, help=COMMANDS[command][0],
-                              formatter_class=_help_formatter)
-        for name, spec in {**COMMANDS[command][1], **_COMMON}.items():
+    for command, (help_text, options, _) in COMMANDS.items():
+        sub = subs.add_parser(command, help=help_text)
+        for name, spec in {**options, **_COMMON}.items():
             # None marks an option unset; _apply_config fills in its default
             sub.add_argument(f"--{name}", **{**spec, "default": None})
     return parser
@@ -551,7 +531,7 @@ def _apply_config(args) -> None:
 
 
 def _parse_plain(argv: list[str]) -> SimpleNamespace | None:
-    """The namespace build_parser(argv[:1]).parse_args(argv) gives, read off
+    """The namespace build_parser().parse_args(argv) gives, read off
     the option table where argv is a command and exact long options: each
     flag alone, each other option with one value, not starting with "-",
     that passes its type and choices; every required option given. Else None."""
@@ -586,9 +566,8 @@ def _parse_plain(argv: list[str]) -> SimpleNamespace | None:
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     # Only help, usage errors and spellings the table does not read build a
-    # parser: a known command's own subparser, else the full one (a typo).
-    named = argv[:1] if argv and argv[0] in COMMANDS else COMMANDS
-    args = _parse_plain(argv) or build_parser(named).parse_args(argv)
+    # parser.
+    args = _parse_plain(argv) or build_parser().parse_args(argv)
     try:
         _apply_config(args)
         header, rows, failures = COMMANDS[args.command][2](args)

@@ -111,20 +111,19 @@ def count_real(n_sites: int, n_particles: int, lam) -> int:
 
 
 def count_x_fermi(n_sites: int, n_particles: int, gaps: Iterable[int]) -> int:
-    """Strictly ordered states whose adjacent gaps lie in the given set."""
+    """Strictly ordered states whose adjacent gaps lie in the given set, as
+    the gap sum sum_{s<M} c_s (M - s): c_s is the coefficient of t**s in
+    (sum_{x in X} t**x)**(N-1), the ways the N - 1 gaps add up to the span
+    s, and a state of span s has M - s first sites."""
     _check_sizes(n_sites, n_particles)
     xs = XFermiRule(gaps).gaps
     if n_particles == 0:
         return 1
-    # walk the lattice: ways[s] = ordered states of the current length ending at s
-    ways = [1] * (n_sites + 1)
-    ways[0] = 0
+    # spans[s]: the ways the gaps so far add up to s, for s < M
+    spans = [1] + [0] * (n_sites - 1)
     for _ in range(n_particles - 1):
-        new = [0] * (n_sites + 1)
-        for s in range(1, n_sites + 1):
-            new[s] = sum(ways[s - g] for g in xs if s - g >= 1)
-        ways = new
-    return sum(ways)
+        spans = [sum(spans[s - x] for x in xs if x <= s) for s in range(n_sites)]
+    return sum(c * (n_sites - s) for s, c in enumerate(spans))
 
 
 def count_x_bose(n_sites: int, n_particles: int, gaps: Iterable[int]) -> int:

@@ -15,11 +15,12 @@ one letter shorter: removing the bra's first letter a turns an entry into
 a sum, over the positions of a in the ket, of entries of the smaller
 structure shifted by the position (upper triangle summed, lower
 mirrored). A Gram matrix evaluates one value per distinct histogram and
-relabels the words; a rule zeroes the rows and columns of the words it
-kills. Ranks read integers scaled by den(q)^(N(N-1)/2) from the live
-submatrix and are cached per (canonical word, q, live-word mask), so
-relabelled sectors and the repeated sectors of one-particle dimensions are
-ranked once. The live-word mask needs no Gram structure either: a gap
+relabels the words; a rule zeroes the rows and columns of the words
+outside its live-word mask. Ranks read integers scaled by
+den(q)^(N(N-1)/2) from the live submatrix and are cached per (canonical
+word, q, live-word mask), so relabelled sectors and the repeated sectors
+of one-particle dimensions are ranked once. The live-word mask, the one
+test of which words a rule keeps, needs no Gram structure either: a gap
 rule's comes from the canonical orbit and the letter pairs the rule bans,
 cached per (canonical word, banned pairs), and any other rule's from
 testing each relabelled word.
@@ -51,7 +52,7 @@ from .algebra_engine import (
     evaluate,
     scaled_polynomial,
 )
-from .restrictions import AdjacentPairRule, CapacityExceededError, RestrictionRule, is_allowed
+from .restrictions import AdjacentPairRule, CapacityExceededError, RestrictionRule
 
 # Largest permutation orbit a Gram matrix is built for: 6! = 720 words.
 MAX_ORBIT_WORDS = 720
@@ -346,7 +347,8 @@ def gram_matrix(
     orbit, classes, hists = _shape_gram(word)
     states = tuple(_relabelled(orbit, letters))
     values = [evaluate(h, alg.q) for h in hists]
-    alive = [is_allowed(s, rule) for s in states]
+    live_mask = _live_mask(word, letters, rule)
+    alive = [live_mask >> i & 1 for i in range(len(states))]
     zero = Fraction(0)
     dead = (zero,) * len(states)
     entries = tuple([

@@ -144,11 +144,6 @@ class TotalCapRule(RestrictionRule):
         return len(state) <= self.cap
 
 
-def is_allowed(state: MonomialState, rule: RestrictionRule | None) -> bool:
-    """Whether a word survives projection; no rule means everything does."""
-    return rule is None or rule.allows(state)
-
-
 def _check_sizes(n_sites: int, n_particles: int, least: int = 0) -> None:
     """The domain of every count: M >= 1 sites and N >= least particles."""
     if n_sites < 1 or n_particles < least:

@@ -1,10 +1,10 @@
 """A cold interpreter that imports fockcount and its CLI loads none of the
 modules that cost most of the start-up time; JSON output and config files
-load `json` only when they run, and a call that prints no help never loads
-`shutil`. A call spelled with exact long options is read off the option
-table and loads neither `argparse` nor the `gettext` and `locale` it brings;
-a spelling only argparse reads, such as an abbreviation, still runs the
-same. The family registry loads without the CLI."""
+load `json` only when they run, and a plain call never loads `shutil`. A
+call spelled with exact long options is read off the option table and loads
+neither `argparse` nor the `gettext` and `locale` it brings; a spelling only
+argparse reads, such as an abbreviation, still runs the same. The family
+registry loads without the CLI."""
 
 import json
 import subprocess

@@ -19,7 +19,6 @@ from fockcount.restrictions import (
     count_allowed_states,
     count_allowed_words,
     enumerate_allowed,
-    is_allowed,
 )
 
 from oracles import (
@@ -126,10 +125,6 @@ def test_window_rules():
     assert not WindowRule(2, "min").allows((1, 2))
     assert WindowRule(2, "max").allows((1, 3, 4))
     assert not WindowRule(2, "max").allows((1, 4))
-
-
-def test_is_allowed_none_rule_allows_everything():
-    assert is_allowed((3, 1, 2), None)
 
 
 # Each rule with an independent predicate on words. CSRule(4, 1) and

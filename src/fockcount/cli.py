@@ -564,6 +564,18 @@ def _parse_plain(argv: list[str]) -> SimpleNamespace | None:
 
 
 def main(argv=None) -> int:
+    # An exact count may have more digits than Python's int-to-str limit
+    # (3.10.7 on): the run lifts it, and gives the caller's limit back.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    set_limit = getattr(sys, "set_int_max_str_digits", lambda digits: None)
+    set_limit(0)
+    try:
+        return _run(argv)
+    finally:
+        set_limit(limit)
+
+
+def _run(argv) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     # Only help, usage errors and spellings the table does not read build a
     # parser.

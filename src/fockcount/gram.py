@@ -381,7 +381,7 @@ def _live_mask(word: MonomialState, letters: tuple[int, ...],
     if isinstance(rule, AdjacentPairRule):
         # A gap rule allows a word exactly when it allows each adjacent pair.
         banned = frozenset([(a, b) for a, x in enumerate(letters) for b, y in enumerate(letters)
-                            if not rule.pair_allowed(x, y)])
+                            if not rule.gap_allowed(y - x)])
         return _pair_mask(word, banned)
     states = _relabelled(_canonical_orbit(word), letters)
     return sum(1 << i for i, s in enumerate(states) if rule.allows(s))

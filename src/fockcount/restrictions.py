@@ -6,9 +6,10 @@ occupancy and total-number rules look at the word as a whole. Words failing
 a rule become null states.
 """
 
+from bisect import bisect_right
 from collections import Counter
 from collections.abc import Iterable, Iterator, Sequence
-from math import comb
+from math import comb, log10
 
 from .core import Frozen, MonomialState
 
@@ -38,15 +39,16 @@ class RestrictionRule(Frozen):
 
 
 class AdjacentPairRule(RestrictionRule):
-    """Rule constraining every adjacent ordered pair of the word."""
+    """Rule constraining the gap b - a of every adjacent ordered pair (a, b)
+    of the word."""
 
     __slots__ = ()
 
-    def pair_allowed(self, j: int, k: int) -> bool:
+    def gap_allowed(self, gap: int) -> bool:
         raise NotImplementedError
 
     def allows(self, state: MonomialState) -> bool:
-        return all(self.pair_allowed(a, b) for a, b in zip(state, state[1:]))
+        return all(self.gap_allowed(b - a) for a, b in zip(state, state[1:]))
 
 
 class CSRule(AdjacentPairRule):
@@ -64,8 +66,7 @@ class CSRule(AdjacentPairRule):
         if self.q < 1:
             raise ValueError(f"q must be >= 1, got {self.q}")
 
-    def pair_allowed(self, j: int, k: int) -> bool:
-        gap = k - j
+    def gap_allowed(self, gap: int) -> bool:
         return gap >= self.p and (gap - self.p) % self.q == 0
 
 
@@ -77,8 +78,8 @@ class XFermiRule(AdjacentPairRule):
     def _check(self) -> None:
         object.__setattr__(self, "gaps", _validated_gaps(tuple(sorted(set(self.gaps)))))
 
-    def pair_allowed(self, j: int, k: int) -> bool:
-        return (k - j) in self.gaps
+    def gap_allowed(self, gap: int) -> bool:
+        return gap in self.gaps
 
 
 class XBoseRule(AdjacentPairRule):
@@ -89,8 +90,8 @@ class XBoseRule(AdjacentPairRule):
     def _check(self) -> None:
         object.__setattr__(self, "gaps", _validated_gaps(tuple(sorted(set(self.gaps)))))
 
-    def pair_allowed(self, j: int, k: int) -> bool:
-        return k == j or (k - j) in self.gaps
+    def gap_allowed(self, gap: int) -> bool:
+        return gap == 0 or gap in self.gaps
 
 
 class WindowRule(AdjacentPairRule):
@@ -110,10 +111,10 @@ class WindowRule(AdjacentPairRule):
         if self.p < least:
             raise ValueError(f"window width must be >= {least}, got {self.p}")
 
-    def pair_allowed(self, j: int, k: int) -> bool:
+    def gap_allowed(self, gap: int) -> bool:
         if self.mode == "min":
-            return abs(k - j) >= self.p
-        return abs(k - j) <= self.p
+            return abs(gap) >= self.p
+        return abs(gap) <= self.p
 
 
 class GentileRule(RestrictionRule):
@@ -157,40 +158,35 @@ def _check_candidates(n_sites: int, n_particles: int, cap: int) -> None:
         raise ValueError(f"cap must be positive, got {cap}")
     n_multisets = comb(n_sites + n_particles - 1, n_particles) if n_sites >= 1 else 1
     if n_multisets > cap:
+        # A count past 30 digits reads poorly, and past 4300 str() may refuse it.
+        amount = n_multisets if n_multisets < 10**30 else f"about 10^{log10(n_multisets):.0f}"
         raise CapacityExceededError(
-            f"{n_multisets} candidate states for {n_particles} particles on "
+            f"{amount} candidate states for {n_particles} particles on "
             f"{n_sites} sites exceeds cap {cap}"
         )
 
 
-def _successors(
-    n_sites: int, rule: RestrictionRule | None, canonical: bool
-) -> list[Sequence[int]]:
-    """The site table: entry j lists the sites that may follow site j in a
-    word, in increasing order, and entry 0 the sites a word may start with.
-
-    Canonical words take only sites k >= j. An AdjacentPairRule keeps the k
-    with pair_allowed(j, k); every other rule keeps every k.
-    """
-    table: list[Sequence[int]] = [range(1, n_sites + 1)]
-    for j in range(1, n_sites + 1):
-        sites = range(j if canonical else 1, n_sites + 1)
-        if isinstance(rule, AdjacentPairRule):
-            sites = [k for k in sites if rule.pair_allowed(j, k)]
-        table.append(sites)
-    return table
+def _steps(n_sites: int, rule: RestrictionRule | None, canonical: bool) -> Sequence[int]:
+    """The gaps k - j from a word's site j to its next site k, in increasing
+    order: 0..M-1 for canonical words, 1-M..M-1 for ordered ones, less
+    those an AdjacentPairRule bans."""
+    steps = range(0 if canonical else 1 - n_sites, n_sites)
+    if isinstance(rule, AdjacentPairRule):
+        return [d for d in steps if rule.gap_allowed(d)]
+    return steps
 
 
-def _count_by_last_site(n_particles: int, successors: list[Sequence[int]]) -> int:
-    """Number of words of n_particles sites that follow the site table."""
-    # counts[j]: the words of the current length that end at site j (0: empty)
-    counts = [1] + [0] * (len(successors) - 1)
-    for _ in range(n_particles):
-        extended = [0] * len(successors)
-        for j, ways in enumerate(counts):
-            if ways:
-                for k in successors[j]:
-                    extended[k] += ways
+def _count_by_last_site(n_sites: int, n_particles: int, steps: Sequence[int]) -> int:
+    """Number of words of n_particles sites, each one of steps after the last."""
+    if n_particles == 0:
+        return 1
+    # counts[k]: the words of the current length that end at site k + 1
+    counts = [1] * n_sites
+    for _ in range(n_particles - 1):
+        extended = [0] * n_sites
+        for d in steps:
+            for k in range(max(d, 0), min(n_sites, n_sites + d)):
+                extended[k] += counts[k - d]
         counts = extended
     return sum(counts)
 
@@ -214,43 +210,46 @@ def _allowed_states(
     `_check_listing` passed.
 
     Words grow one site per level: each word of a level, in order, is
-    extended by the successors of its last site (`_successors`, canonical),
-    so every level stays in lexicographic order. For an AdjacentPairRule the
-    successor lists are the rule; a TotalCapRule passes every word or none;
-    a GentileRule drops each extension to m + 1 copies of one site. Levels
-    below N are lists; the words of level N are yielded as they are made.
+    extended by the canonical steps (`_steps`) that stay on the lattice from
+    its last site, so every level stays in lexicographic order. For an
+    AdjacentPairRule the steps are the rule; a TotalCapRule passes every
+    word or none; a GentileRule drops each extension to m + 1 copies of one
+    site. Levels below N are lists; the words of level N are yielded as they
+    are made.
     """
-    if isinstance(rule, TotalCapRule):
+    if isinstance(rule, TotalCapRule) and n_particles > rule.cap:
         # The cap reads only a word's length: every word passes, or none.
-        if n_particles > rule.cap:
-            return
-        rule = None
+        return
     if n_particles == 0:
         yield ()
         return
     words: list[MonomialState] = [(j,) for j in range(1, n_sites + 1)]
     if n_particles == 1:
-        # One-site words extend nothing; only longer ones need the table,
-        # whose M^2 / 2 entries then stay below the candidate count.
         yield from words
         return
-    successors = _successors(n_sites, rule, canonical=True)
+    steps = _steps(n_sites, rule, canonical=True)
+    # nexts[j]: the steps that stay on the lattice from site j; a gap rule's
+    # hold no more entries than there are two-particle states
+    nexts = [steps[:bisect_right(steps, n_sites - j)] for j in range(n_sites + 1)]
     if isinstance(rule, GentileRule):
         m = rule.max_occupancy
-        # A sorted word w ends in m copies of k >= w[-1] exactly when w[-m] == k.
+        # A sorted word w ends in m copies of its last site exactly when
+        # w[-m] == w[-1]; it then takes no step 0.
         for _ in range(n_particles - 2):
-            words = [w + (k,) for w in words for k in successors[w[-1]]
-                     if len(w) < m or w[-m] != k]
+            words = [w + (w[-1] + d,) for w in words for d in nexts[w[-1]]
+                     if d or len(w) < m or w[-m] != w[-1]]
         for w in words:
-            for k in successors[w[-1]]:
-                if len(w) < m or w[-m] != k:
-                    yield w + (k,)
+            j = w[-1]
+            for d in nexts[j]:
+                if d or len(w) < m or w[-m] != j:
+                    yield w + (j + d,)
         return
     for _ in range(n_particles - 2):
-        words = [w + (k,) for w in words for k in successors[w[-1]]]
+        words = [w + (w[-1] + d,) for w in words for d in nexts[w[-1]]]
     for w in words:
-        for k in successors[w[-1]]:
-            yield w + (k,)
+        j = w[-1]
+        for d in nexts[j]:
+            yield w + (j + d,)
 
 
 def enumerate_allowed(
@@ -274,12 +273,12 @@ def count_allowed_states(
     n_sites: int, n_particles: int, rule: AdjacentPairRule | None = None
 ) -> int:
     """Number of canonical (sorted) states passing a gap rule, or no rule:
-    the length of `enumerate_allowed`'s list, counted on the same site table
+    the length of `enumerate_allowed`'s list, counted from the same steps
     with no listing and no candidate cap. Other rules raise TypeError."""
     _check_sizes(n_sites, n_particles)
     if rule is not None and not isinstance(rule, AdjacentPairRule):
         raise TypeError(f"unsupported rule type {type(rule).__name__}")
-    return _count_by_last_site(n_particles, _successors(n_sites, rule, canonical=True))
+    return _count_by_last_site(n_sites, n_particles, _steps(n_sites, rule, canonical=True))
 
 
 def count_allowed_words(
@@ -309,5 +308,5 @@ def count_allowed_words(
             dp = new
         return dp[n_particles]
     if isinstance(rule, AdjacentPairRule):
-        return _count_by_last_site(n_particles, _successors(n_sites, rule, canonical=False))
+        return _count_by_last_site(n_sites, n_particles, _steps(n_sites, rule, canonical=False))
     raise TypeError(f"unsupported rule type {type(rule).__name__}")

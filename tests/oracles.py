@@ -219,3 +219,22 @@ def window_allowed(state, p, mode):
     if mode == "max":
         return all(abs(b - a) <= p for a, b in zip(state, state[1:]))
     raise ValueError(mode)
+
+
+def count_by_site_table(n_sites, n_particles, rule, canonical):
+    """Words of n_particles sites on 1..n_sites in which site k may follow
+    site j when k >= j (canonical) or always (ordered), and the rule, if
+    any, allows the gap k - j: the M^2-entry site table of successors,
+    walked by the number of words ending at each site."""
+    table = [range(1, n_sites + 1)]  # entry 0: the sites a word starts with
+    for j in range(1, n_sites + 1):
+        sites = range(j if canonical else 1, n_sites + 1)
+        table.append([k for k in sites if rule is None or rule.gap_allowed(k - j)])
+    counts = [1] + [0] * n_sites
+    for _ in range(n_particles):
+        extended = [0] * (n_sites + 1)
+        for j, ways in enumerate(counts):
+            for k in table[j]:
+                extended[k] += ways
+        counts = extended
+    return sum(counts)

@@ -30,6 +30,7 @@ from fockcount.cli import (
     render,
 )
 from fockcount.core import quon
+from fockcount.counting import count_window_min
 from fockcount.gram import gram_matrix
 from fockcount.registry import COUNT_FAMILIES, PARAM_FAMILIES, RULES
 from fockcount.restrictions import CSRule, enumerate_allowed
@@ -1272,3 +1273,23 @@ def test_gram_one_letter_sector_of_ten_particles(capsys):
     header, rows = parse_csv(out)
     assert header == ["multiset", "algebra", "dimension", "rank"]
     assert rows[0][2:] == ["1", "1"]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_a_count_past_the_int_to_str_limit_is_written(fmt, capsys):
+    # 5,347 digits, more than the 4300 that str() makes by default; the run
+    # lifts the limit and gives the caller's back
+    limit = sys.get_int_max_str_digits()
+    argv = ["count", "--family", "window-min", "--M", "30000", "--N", "4000", "--p", "0"]
+    code, out, err = run_cli([*argv, "--format", fmt], capsys)
+    assert (code, err) == (0, "")
+    assert sys.get_int_max_str_digits() == limit
+    sys.set_int_max_str_digits(0)
+    try:
+        value = json.loads(out)[0]["value"] if fmt == "json" else int(parse_csv(out)[1][0][4])
+        assert value == count_window_min(30000, 4000, 0)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    code, out, err = run_cli(["enumerate", "--M", "100000", "--N", "20000"], capsys)
+    assert (code, out) == (2, "") and "exceeds cap" in err
+    assert sys.get_int_max_str_digits() == limit

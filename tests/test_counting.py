@@ -227,8 +227,8 @@ _SITE_TABLE_FAMILIES = {
 @given(st.data(), _SITES, st.integers(1, 8))
 @pytest.mark.parametrize("family", _SITE_TABLE_FAMILIES)
 def test_closed_form_counts_the_site_table_on_large_lattices(family, data, m, n):
-    # each gap family's closed form against its oracle rule, counted on the
-    # site table without listing
+    # each gap family's closed form against its oracle rule, counted from
+    # the rule's gap list without listing
     _, closed, _, oracle_rule, _ = COUNT_FAMILIES[family]
     values = data.draw(_SITE_TABLE_FAMILIES[family])
     assert closed(m, n, *values) == count_allowed_states(m, n, oracle_rule(*values))

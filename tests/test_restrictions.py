@@ -1,6 +1,8 @@
 """Restriction rules and allowed-state enumeration, cross-checked by
 filtering the full candidate set with independent predicates."""
 
+import tracemalloc
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -24,6 +26,7 @@ from fockcount.restrictions import (
 from oracles import (
     brute_states,
     brute_words,
+    count_by_site_table,
     cs_allowed,
     filter_states,
     gentile_allowed,
@@ -33,14 +36,14 @@ from oracles import (
 )
 
 
-def test_cs_rule_pair_allowed_gap_set():
+def test_cs_rule_gap_allowed_gap_set():
     rule = CSRule(1, 2)
-    assert [rule.pair_allowed(0, d) for d in range(7)] == [
+    assert [rule.gap_allowed(d) for d in range(7)] == [
         False, True, False, True, False, True, False,
     ]
     rule0 = CSRule(0, 3)
-    assert rule0.pair_allowed(2, 2) and rule0.pair_allowed(2, 5)
-    assert not rule0.pair_allowed(2, 4)
+    assert rule0.gap_allowed(0) and rule0.gap_allowed(3)
+    assert not rule0.gap_allowed(2)
 
 
 def test_rule_validation():
@@ -70,17 +73,17 @@ def test_x_fermi_rule_canonicalises_gap_sets():
     # unordered input is sorted and de-duplicated
     rule = XFermiRule((3, 1, 3))
     assert rule.gaps == (1, 3)
-    assert rule.pair_allowed(0, 1) and rule.pair_allowed(0, 3)
-    assert not rule.pair_allowed(0, 2)
+    assert rule.gap_allowed(1) and rule.gap_allowed(3)
+    assert not rule.gap_allowed(2)
 
 
 def test_x_fermi_rule_and_bose_variant():
     rule = XFermiRule((1, 3))
-    assert rule.pair_allowed(0, 1) and rule.pair_allowed(0, 3)
-    assert not rule.pair_allowed(0, 2) and not rule.pair_allowed(0, 0)
+    assert rule.gap_allowed(1) and rule.gap_allowed(3)
+    assert not rule.gap_allowed(2) and not rule.gap_allowed(0)
     rule_b = XBoseRule((1, 3))
-    assert rule_b.pair_allowed(4, 4) and rule_b.pair_allowed(4, 5)
-    assert not rule_b.pair_allowed(4, 6)
+    assert rule_b.gap_allowed(0) and rule_b.gap_allowed(1)
+    assert not rule_b.gap_allowed(2)
 
 
 def test_cs_rule_examples():
@@ -238,6 +241,51 @@ def test_count_allowed_words_matches_brute_force(rule):
         for n in range(5):
             words = brute_words(m, n)
             assert count_allowed_words(m, n, rule) == sum(map(predicate, words))
+
+
+_gap_sets = st.lists(st.integers(1, 12), min_size=1, max_size=4)
+_gap_rules = st.one_of(
+    st.none(),
+    st.builds(CSRule, st.integers(0, 6), st.integers(1, 5)),
+    st.builds(XFermiRule, _gap_sets),
+    st.builds(XBoseRule, _gap_sets),
+    st.builds(WindowRule, st.integers(0, 8), st.just("min")),
+    st.builds(WindowRule, st.integers(1, 8), st.just("max")),
+)
+
+
+@given(st.integers(1, 40), st.integers(0, 4), _gap_rules)
+def test_counts_match_the_site_table(m, n, rule):
+    # the brute-force tests stop at M = 7; ordered words step back as well
+    # as forward, which the window rules allow
+    assert count_allowed_states(m, n, rule) == count_by_site_table(m, n, rule, True)
+    if rule is not None:
+        assert count_allowed_words(m, n, rule) == count_by_site_table(m, n, rule, False)
+
+
+def test_counts_hold_memory_linear_in_the_sites():
+    # a table of successor sites would hold about M^2 / 2 = 180,000 entries
+    for count, rule in [(count_allowed_states, WindowRule(1, "min")),
+                        (count_allowed_words, CSRule(1, 1))]:
+        tracemalloc.start()
+        try:
+            assert count(600, 2, rule) == 179_700
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+
+def test_a_refusal_states_a_long_candidate_count_by_its_power_of_ten():
+    # C(119999, 20000) has 23,479 digits, more than str() makes by default
+    with pytest.raises(CapacityExceededError, match=r"^about 10\^23479 candidate states "
+                       "for 20000 particles on 100000 sites exceeds cap 2000000$"):
+        enumerate_allowed(100_000, 20_000)
+    # 30 digits, the most a refusal prints in full, and 31
+    with pytest.raises(CapacityExceededError, match="^266668000002333335000000400000 "):
+        enumerate_allowed(2 * 10**6, 5)
+    with pytest.raises(CapacityExceededError, match=r"^about 10\^30 candidate"):
+        enumerate_allowed(3 * 10**6, 5)
 
 
 @given(st.integers(1, 6), st.integers(0, 3), st.integers(1, 3), st.integers(1, 3))

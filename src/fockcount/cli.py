@@ -26,7 +26,7 @@ from .registry import COUNT_FAMILIES, PARAM_FAMILIES, RULES, VERIFY_KINDS, _defa
 from .restrictions import (
     DEFAULT_CANDIDATE_CAP,
     CapacityExceededError,
-    _allowed_states,
+    _allowed_groups,
     _check_candidates,
     _check_listing,
     _check_sizes,
@@ -238,20 +238,42 @@ def _json_row_parts(family: str, m: int, n: int) -> tuple[str, str, str, str]:
     return head, ',\n    "state": [\n      ', ",\n      ", "\n    ]\n  }"
 
 
+# The most rows one string of listing text holds: at N = 1 a point is one
+# group of M rows, and M may be as large as the candidate cap.
+_GROUP_ROWS = 4096
+
+
 def _point_rows(parts: tuple[str, str, str, str], m: int, n: int, rule) -> Iterator[str]:
-    """The text of each row of one point, as its state is listed: head,
-    index, open, the state's sites joined by sep, close. Each site's text
-    is made once per point."""
+    """The text of one point's rows, one string per group of
+    `_allowed_groups` (split after `_GROUP_ROWS` rows), made as the group is
+    listed. A row is head, index, mid and tail[k] for its last site k: mid,
+    open and then each prefix site followed by sep, is made once per group,
+    and tail[k], site k and then close, once per point."""
     head, open_, sep, close = parts
-    site = [str(j) for j in range(m + 1)]
-    return (f"{head}{i}{open_}{sep.join([site[x] for x in w])}{close}"
-            for i, w in enumerate(_allowed_states(m, n, rule)))
+    if n == 0:
+        yield f"{head}0{open_}{close}"
+        return
+    groups = _allowed_groups(m, n, rule)
+    if m > _GROUP_ROWS:  # else no group has more rows than one string holds
+        groups = ((prefix, j, steps[lo:lo + _GROUP_ROWS]) for prefix, j, steps in groups
+                  for lo in range(0, len(steps), _GROUP_ROWS))
+    # At N = 1 each site ends one row, so its tail is made with its group
+    # rather than all M tails held at once.
+    tail = [f"{k}{close}" for k in range(m + 1)] if n > 1 else None
+    i = 0
+    for prefix, j, steps in groups:
+        mid = open_ + "".join([f"{x}{sep}" for x in prefix])
+        ends = tail or {j + d: f"{j + d}{close}" for d in steps}
+        yield "".join([f"{head}{index}{mid}{ends[j + d]}"
+                       for index, d in enumerate(steps, i)])
+        i += len(steps)
 
 
 def _json_array(objects: Iterator[str]) -> Iterator[str]:
-    """The "[\\n" ... "\\n]\\n" frame around objects that each start with
-    ",\\n" (the first loses it), or "[]\\n" for none."""
-    first = next(objects, None)
+    """The "[\\n" ... "\\n]\\n" frame around texts of objects that each
+    start with ",\\n" (the first loses it), or "[]\\n" for none. A text
+    may be empty: a group with no rows."""
+    first = next(filter(None, objects), None)
     if first is None:
         yield "[]\n"
         return

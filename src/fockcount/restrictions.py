@@ -9,7 +9,9 @@ a rule become null states.
 from bisect import bisect_right
 from collections import Counter
 from collections.abc import Iterable, Iterator, Sequence
+from itertools import accumulate
 from math import comb, log10
+from operator import add, sub
 
 from .core import Frozen, MonomialState
 
@@ -176,16 +178,53 @@ def _steps(n_sites: int, rule: RestrictionRule | None, canonical: bool) -> Seque
     return steps
 
 
-def _count_by_last_site(n_sites: int, n_particles: int, steps: Sequence[int]) -> int:
-    """Number of words of n_particles sites, each one of steps after the last."""
-    if n_particles == 0:
-        return 1
+# The longest run of consecutive gaps that `_count_by_last_site` adds gap by
+# gap: on a lattice of a dozen sites, prefix sums cost more than the
+# additions they save on a run of three gaps.
+_GAP_BY_GAP = 3
+
+
+def _count_by_last_site(
+    n_sites: int, n_particles: int, rule: AdjacentPairRule | None, canonical: bool
+) -> int:
+    """Number of words of n_particles sites, each one of the steps
+    `_steps(n_sites, rule, canonical)` after the last."""
+    if n_particles <= 1:
+        return n_sites**n_particles  # no word takes a step
+    gaps = _steps(n_sites, rule, canonical)
+    # A run of more than _GAP_BY_GAP consecutive gaps is added at once
+    # through prefix sums, the other gaps one by one, so that each run costs
+    # O(M) additions per level. The gaps are sorted and distinct, so a gap
+    # _GAP_BY_GAP places on is larger by exactly _GAP_BY_GAP only inside
+    # such a run.
+    spans: list[tuple[int, int]] = []
+    if _GAP_BY_GAP in map(sub, gaps[_GAP_BY_GAP:], gaps):
+        runs: list[list[int]] = []  # maximal runs [first, last] of consecutive gaps
+        for d in gaps:
+            if runs and runs[-1][1] == d - 1:
+                runs[-1][1] = d
+            else:
+                runs.append([d, d])
+        spans = [(lo, hi) for lo, hi in runs if hi - lo >= _GAP_BY_GAP]
+        gaps = [d for lo, hi in runs if hi - lo < _GAP_BY_GAP for d in range(lo, hi + 1)]
+    m = n_sites
     # counts[k]: the words of the current length that end at site k + 1
-    counts = [1] * n_sites
+    counts = [1] * m
     for _ in range(n_particles - 1):
-        extended = [0] * n_sites
-        for d in steps:
-            for k in range(max(d, 0), min(n_sites, n_sites + d)):
+        extended = [0] * m
+        if spans:
+            # below[m + i]: counts[0] + ... + counts[i - 1], i clipped to 0..m
+            below = [0] * m + list(accumulate(counts, initial=0))
+            below += [below[-1]] * m
+            for lo, hi in spans:
+                # extended[k] gains the words ending at k - hi .. k - lo:
+                # none outside start <= k < stop
+                start, stop = max(lo, 0), min(m, m + hi)
+                gains = map(sub, below[m + start - lo + 1:m + stop - lo + 1],
+                            below[m + start - hi:m + stop - hi])
+                extended[start:stop] = map(add, extended[start:stop], gains)
+        for d in gaps:
+            for k in range(max(d, 0), min(m, m + d)):
                 extended[k] += counts[k - d]
         counts = extended
     return sum(counts)
@@ -203,34 +242,34 @@ def _check_listing(
         raise TypeError(f"unsupported rule type {type(rule).__name__}")
 
 
-def _allowed_states(
+def _allowed_groups(
     n_sites: int, n_particles: int, rule: RestrictionRule | None
-) -> Iterator[MonomialState]:
-    """The states of `enumerate_allowed`, one at a time, for a point that
-    `_check_listing` passed.
+) -> Iterator[tuple[MonomialState, int, Sequence[int]]]:
+    """The states of `enumerate_allowed` for N >= 1, in groups, for a point
+    that `_check_listing` passed. A group (prefix, j, steps) is a word of
+    N - 1 sites, its last site j and, in increasing order, the steps d it
+    may take from there; its states are prefix + (j + d,). At N = 1 the one
+    group is the empty prefix, j = 0 and the steps 1..M.
 
     Words grow one site per level: each word of a level, in order, is
     extended by the canonical steps (`_steps`) that stay on the lattice from
-    its last site, so every level stays in lexicographic order. For an
-    AdjacentPairRule the steps are the rule; a TotalCapRule passes every
-    word or none; a GentileRule drops each extension to m + 1 copies of one
-    site. Levels below N are lists; the words of level N are yielded as they
-    are made.
+    its last site, so every level, and so the states, stay in
+    lexicographic order. For an AdjacentPairRule the steps are the rule; a
+    TotalCapRule passes every word or none; a GentileRule drops step 0, the
+    first, from a word that ends in m copies of one site. Levels below
+    N - 1 are lists; the groups are yielded as they are made.
     """
     if isinstance(rule, TotalCapRule) and n_particles > rule.cap:
         # The cap reads only a word's length: every word passes, or none.
         return
-    if n_particles == 0:
-        yield ()
-        return
-    words: list[MonomialState] = [(j,) for j in range(1, n_sites + 1)]
     if n_particles == 1:
-        yield from words
+        yield (), 0, range(1, n_sites + 1)
         return
     steps = _steps(n_sites, rule, canonical=True)
     # nexts[j]: the steps that stay on the lattice from site j; a gap rule's
     # hold no more entries than there are two-particle states
     nexts = [steps[:bisect_right(steps, n_sites - j)] for j in range(n_sites + 1)]
+    words: list[MonomialState] = [(j,) for j in range(1, n_sites + 1)]
     if isinstance(rule, GentileRule):
         m = rule.max_occupancy
         # A sorted word w ends in m copies of its last site exactly when
@@ -240,16 +279,13 @@ def _allowed_states(
                      if d or len(w) < m or w[-m] != w[-1]]
         for w in words:
             j = w[-1]
-            for d in nexts[j]:
-                if d or len(w) < m or w[-m] != j:
-                    yield w + (j + d,)
+            yield w, j, nexts[j][1:] if len(w) >= m and w[-m] == j else nexts[j]
         return
     for _ in range(n_particles - 2):
         words = [w + (w[-1] + d,) for w in words for d in nexts[w[-1]]]
     for w in words:
         j = w[-1]
-        for d in nexts[j]:
-            yield w + (j + d,)
+        yield w, j, nexts[j]
 
 
 def enumerate_allowed(
@@ -263,10 +299,13 @@ def enumerate_allowed(
     The raw candidate space is the set of index multisets; if it exceeds the
     cap the search is refused rather than silently truncated. Rules other
     than an AdjacentPairRule, a GentileRule or a TotalCapRule raise
-    TypeError. The listing is `_allowed_states`.
+    TypeError. The listing is the states of `_allowed_groups`, in order.
     """
     _check_listing(n_sites, n_particles, rule, cap)
-    return list(_allowed_states(n_sites, n_particles, rule))
+    if n_particles == 0:
+        return [()]
+    return [prefix + (j + d,) for prefix, j, steps in _allowed_groups(n_sites, n_particles, rule)
+            for d in steps]
 
 
 def count_allowed_states(
@@ -278,7 +317,7 @@ def count_allowed_states(
     _check_sizes(n_sites, n_particles)
     if rule is not None and not isinstance(rule, AdjacentPairRule):
         raise TypeError(f"unsupported rule type {type(rule).__name__}")
-    return _count_by_last_site(n_sites, n_particles, _steps(n_sites, rule, canonical=True))
+    return _count_by_last_site(n_sites, n_particles, rule, canonical=True)
 
 
 def count_allowed_words(
@@ -308,5 +347,5 @@ def count_allowed_words(
             dp = new
         return dp[n_particles]
     if isinstance(rule, AdjacentPairRule):
-        return _count_by_last_site(n_sites, n_particles, _steps(n_sites, rule, canonical=False))
+        return _count_by_last_site(n_sites, n_particles, rule, canonical=False)
     raise TypeError(f"unsupported rule type {type(rule).__name__}")

@@ -1094,6 +1094,21 @@ def test_a_json_listing_is_written_as_it_is_made(tmp_path):
                               "state": list(states[i])}
 
 
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux VmHWM")
+def test_one_wide_group_is_written_a_bounded_number_of_rows_at_a_time(tmp_path):
+    # N = 1 is one group of M rows: held at once, its 500,000 tails alone
+    # take about 30 MB
+    target = tmp_path / "rows.csv"
+    argv = ["enumerate", "--M", "500000", "--N", "1", "--out", str(target)]
+    rc, peak_kb = _listing_peak_kb(argv)
+    assert rc == 0
+    assert peak_kb < 30 * 1024
+    text = target.read_text()
+    assert text.count("\n") == 500_001
+    assert text == "family,M,N,index,state\n" + "".join(
+        [f"none,500000,1,{i},{i + 1}\n" for i in range(500_000)])
+
+
 # Each rule family's options, by dest, over values in its rule's domain.
 _LISTING_OPTIONS = {
     "none": {},
@@ -1125,6 +1140,12 @@ def _listings(draw):
 @example(listing=("total-cap", {"p": 2}, [3, 1], [4, 0, 2], "json"))
 @example(listing=("total-cap", {"p": 1}, [2], [2, 3], "csv"))
 @example(listing=("total-cap", {"p": 1}, [2], [2, 3], "json"))
+# a point of one group with more rows than one string of text holds: two
+# full strings and a short one
+@example(listing=("none", {}, [2 * cli._GROUP_ROWS + 3, 3], [1, 0], "csv"))
+@example(listing=("none", {}, [2 * cli._GROUP_ROWS + 3, 3], [1, 0], "json"))
+# gap 3 fits no word on 2 sites: the listing's first groups have no rows
+@example(listing=("x-fermi", {"x_set": {3}}, [2, 5], [2], "json"))
 def test_a_listing_is_render_of_enumerate_allowed(listing, tmp_path_factory):
     family, values, ms, ns, fmt = listing
     target = tmp_path_factory.mktemp("listing") / "rows"

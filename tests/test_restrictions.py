@@ -4,7 +4,7 @@ filtering the full candidate set with independent predicates."""
 import tracemalloc
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from fockcount.counting import count_gentile
@@ -255,6 +255,15 @@ _gap_rules = st.one_of(
 
 
 @given(st.integers(1, 40), st.integers(0, 4), _gap_rules)
+# the counters add a long run of consecutive gaps at once and the other gaps
+# one by one: ordered window-min words have two long runs, CSRule(0, 1) one,
+# CSRule(1, 3) and XFermiRule((2,)) runs of one gap, and
+# XBoseRule((1, 2, 3, 5, 6, 9)) the runs [0, 3], [5, 6] and [9, 9]
+@example(m=40, n=4, rule=WindowRule(3, "min"))
+@example(m=40, n=4, rule=CSRule(0, 1))
+@example(m=40, n=4, rule=CSRule(1, 3))
+@example(m=40, n=4, rule=XFermiRule((2,)))
+@example(m=40, n=4, rule=XBoseRule((1, 2, 3, 5, 6, 9)))
 def test_counts_match_the_site_table(m, n, rule):
     # the brute-force tests stop at M = 7; ordered words step back as well
     # as forward, which the window rules allow

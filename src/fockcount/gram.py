@@ -22,8 +22,9 @@ word, q, live-word mask), so relabelled sectors and the repeated sectors
 of one-particle dimensions are ranked once. The live-word mask, the one
 test of which words a rule keeps, needs no Gram structure either: a gap
 rule's comes from the canonical orbit and the letter pairs the rule bans,
-cached per (canonical word, banned pairs), and any other rule's from
-testing each relabelled word.
+cached per (canonical word, banned pairs); an occupancy rule reads only
+occupation numbers, so it keeps the whole orbit or none, decided on the
+canonical word. A rule of any other type raises TypeError.
 
 Ranks and determinants share one exact kernel over the integers. The
 matrix is scaled to integers by the common denominator of its entries, and
@@ -52,7 +53,12 @@ from .algebra_engine import (
     evaluate,
     scaled_polynomial,
 )
-from .restrictions import AdjacentPairRule, CapacityExceededError, RestrictionRule
+from .restrictions import (
+    AdjacentPairRule,
+    CapacityExceededError,
+    OccupancyRule,
+    RestrictionRule,
+)
 
 # Largest permutation orbit a Gram matrix is built for: 6! = 720 words.
 MAX_ORBIT_WORDS = 720
@@ -344,10 +350,10 @@ def gram_matrix(
     """Gram matrix of the multiset's orderings; words failing the rule are
     projected out, i.e. their rows and columns are zeroed."""
     word, letters = _canonical(indices)
+    live_mask = _live_mask(word, letters, rule)
     orbit, classes, hists = _shape_gram(word)
     states = tuple(_relabelled(orbit, letters))
     values = [evaluate(h, alg.q) for h in hists]
-    live_mask = _live_mask(word, letters, rule)
     alive = [live_mask >> i & 1 for i in range(len(states))]
     zero = Fraction(0)
     dead = (zero,) * len(states)
@@ -375,16 +381,21 @@ def _sector_rank(word: MonomialState, q: Fraction, live_mask: int) -> int:
 def _live_mask(word: MonomialState, letters: tuple[int, ...],
                rule: RestrictionRule | None) -> int:
     """Bits of the canonical orbit's words whose relabelled words pass the
-    rule."""
-    if rule is None:
-        return (1 << len(_canonical_orbit(word))) - 1
+    rule. A gap rule's mask comes from the letter pairs it bans. An
+    occupancy rule keeps the whole orbit or none: the renaming keeps every
+    occupation number, so it is decided on the canonical word, and a dead
+    multiset's mask is 0 without its orbit. Any other rule raises TypeError."""
     if isinstance(rule, AdjacentPairRule):
         # A gap rule allows a word exactly when it allows each adjacent pair.
         banned = frozenset([(a, b) for a, x in enumerate(letters) for b, y in enumerate(letters)
                             if not rule.gap_allowed(y - x)])
         return _pair_mask(word, banned)
-    states = _relabelled(_canonical_orbit(word), letters)
-    return sum(1 << i for i, s in enumerate(states) if rule.allows(s))
+    if rule is not None:
+        if not isinstance(rule, OccupancyRule):
+            raise TypeError(f"unsupported rule type {type(rule).__name__}")
+        if not rule.multiset_allowed(word):
+            return 0
+    return (1 << len(_canonical_orbit(word))) - 1
 
 
 def sector_dimension(

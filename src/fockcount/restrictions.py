@@ -2,12 +2,14 @@
 
 A rule decides which creator words survive projection. Gap rules constrain
 every adjacent ordered pair of the word (nearest-neighbour reading); the
-occupancy and total-number rules look at the word as a whole. Words failing
-a rule become null states.
+occupancy and total-number rules read only the word's occupation numbers,
+so they decide on its sorted multiset and keep a whole permutation orbit
+or none of it. Words failing a rule become null states. A rule of any
+other type is refused with TypeError wherever words are listed, counted or
+projected.
 """
 
 from bisect import bisect_right
-from collections import Counter
 from collections.abc import Iterable, Iterator, Sequence
 from itertools import accumulate
 from math import comb, log10
@@ -119,7 +121,22 @@ class WindowRule(AdjacentPairRule):
         return abs(gap) <= self.p
 
 
-class GentileRule(RestrictionRule):
+class OccupancyRule(RestrictionRule):
+    """Rule reading only a word's occupation numbers: it allows a word
+    exactly when it allows the sorted multiset, so it keeps every ordering
+    of one multiset or none."""
+
+    __slots__ = ()
+
+    def multiset_allowed(self, word: Sequence[int]) -> bool:
+        """Decision on a sorted word."""
+        raise NotImplementedError
+
+    def allows(self, state: MonomialState) -> bool:
+        return self.multiset_allowed(sorted(state))
+
+
+class GentileRule(OccupancyRule):
     """At most max_occupancy particles per oscillator."""
 
     __slots__ = ("max_occupancy",)  # int
@@ -128,13 +145,13 @@ class GentileRule(RestrictionRule):
         if self.max_occupancy < 1:
             raise ValueError(f"max occupancy must be >= 1, got {self.max_occupancy}")
 
-    def allows(self, state: MonomialState) -> bool:
-        if not state:
-            return True
-        return max(Counter(state).values()) <= self.max_occupancy
+    def multiset_allowed(self, word: Sequence[int]) -> bool:
+        # A sorted word takes some site m + 1 times exactly when it has
+        # w[i] == w[i + m] for some i.
+        return all(a != b for a, b in zip(word, word[self.max_occupancy:]))
 
 
-class TotalCapRule(RestrictionRule):
+class TotalCapRule(OccupancyRule):
     """At most cap particles in total, any placement."""
 
     __slots__ = ("cap",)  # int
@@ -143,8 +160,8 @@ class TotalCapRule(RestrictionRule):
         if self.cap < 1:
             raise ValueError(f"total cap must be >= 1, got {self.cap}")
 
-    def allows(self, state: MonomialState) -> bool:
-        return len(state) <= self.cap
+    def multiset_allowed(self, word: Sequence[int]) -> bool:
+        return len(word) <= self.cap
 
 
 def _check_sizes(n_sites: int, n_particles: int, least: int = 0) -> None:

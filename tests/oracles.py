@@ -212,6 +212,10 @@ def gentile_allowed(state, max_occupancy):
     return all(state.count(s) <= max_occupancy for s in set(state))
 
 
+def total_cap_allowed(state, cap):
+    return len(state) <= cap
+
+
 def window_allowed(state, p, mode):
     # distances, so that ordered words are read too
     if mode == "min":

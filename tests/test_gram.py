@@ -13,7 +13,7 @@ from itertools import combinations_with_replacement, permutations, product
 from math import factorial, prod
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from fockcount.algebra_engine import MAX_WORD_LETTERS, _contract, inner_product
@@ -47,7 +47,13 @@ from fockcount.restrictions import (
     WindowRule,
 )
 
-from oracles import determinant_bruteforce, gauss_rank, quon_overlap_bruteforce
+from oracles import (
+    determinant_bruteforce,
+    gauss_rank,
+    gentile_allowed,
+    quon_overlap_bruteforce,
+    total_cap_allowed,
+)
 
 HALF = Fraction(1, 2)
 
@@ -564,6 +570,8 @@ GAP_RULE_PARAMS = {
 gap_rules = st.sampled_from(sorted(GAP_RULE_PARAMS)).flatmap(
     lambda family: st.tuples(*GAP_RULE_PARAMS[family]).map(
         lambda args: RULES[family][1](*args)))
+# The occupancy rules, which keep a whole orbit or none.
+occupancy_rules = st.one_of(st.integers(1, 3).map(GentileRule), st.integers(1, 5).map(TotalCapRule))
 # Up to 5 letters drawn from up to 5 of 12 sites, so letters often repeat.
 small_multisets = st.lists(st.integers(1, 12), min_size=1, max_size=5, unique=True).flatmap(
     lambda sites: st.lists(st.sampled_from(sites), min_size=1, max_size=5))
@@ -593,6 +601,16 @@ def test_rule_params_cover_every_family():
     assert set(RULE_PARAMS) == set(RULES)
 
 
+def reference_allows(rule, word):
+    """A per-word decision made apart from the mask: the oracles' occupancy
+    counts for the occupancy rules, each adjacent pair for a gap rule."""
+    if isinstance(rule, GentileRule):
+        return gentile_allowed(word, rule.max_occupancy)
+    if isinstance(rule, TotalCapRule):
+        return total_cap_allowed(word, rule.cap)
+    return rule is None or rule.allows(word)
+
+
 @given(repeated_multisets, any_rules)
 def test_projected_rank_follows_the_rank_theorem(ms, rule):
     """For |q| < 1 the Gram matrix is positive definite, so each live word
@@ -600,7 +618,7 @@ def test_projected_rank_follows_the_rank_theorem(ms, rule):
     distinct letters, and a repeated letter kills a Fermi sector. The
     prediction is held against the kernel's rank and against plain Gaussian
     elimination of the projected Gram matrix."""
-    live = sum(1 for w in permutation_orbit(ms) if rule is None or rule.allows(w))
+    live = sum(1 for w in permutation_orbit(ms) if reference_allows(rule, w))
     for alg in RANK_ALGEBRAS:
         if abs(alg.q) < 1:
             expected = live
@@ -612,16 +630,25 @@ def test_projected_rank_follows_the_rank_theorem(ms, rule):
         assert gauss_rank(gram_matrix(ms, alg, rule).entries) == expected
 
 
-@given(small_multisets, gap_rules)
-def test_gap_rule_mask_keeps_the_words_the_rule_allows(ms, rule):
-    """The mask read from the rule's banned letter pairs keeps the same words
-    as testing each word, and the rank over it is the rank of gram_matrix's
+# An occupancy limit at the largest occupation number and one below it.
+@example(ms=[5, 2, 7, 2, 2], rule=GentileRule(3))
+@example(ms=[5, 2, 7, 2, 2], rule=GentileRule(2))
+@example(ms=[4, 9, 4], rule=GentileRule(2))
+@example(ms=[4, 9, 4], rule=GentileRule(1))
+# A total cap at the number of particles and one below it.
+@example(ms=[4, 1, 4, 3], rule=TotalCapRule(4))
+@example(ms=[4, 1, 4, 3], rule=TotalCapRule(3))
+@given(small_multisets, st.one_of(gap_rules, occupancy_rules))
+def test_rule_mask_keeps_the_words_the_reference_allows(ms, rule):
+    """The mask, read from a gap rule's banned letter pairs or from an
+    occupancy rule's decision on the multiset, keeps the same words as a
+    per-word reference, and the rank over it is the rank of gram_matrix's
     projected matrix of Fractions."""
     word, letters = _canonical(ms)
     mask = _live_mask(word, letters, rule)
     orbit = permutation_orbit(ms)
     assert [w for i, w in enumerate(orbit) if mask >> i & 1] == [
-        w for w in orbit if rule.allows(w)]
+        w for w in orbit if reference_allows(rule, w)]
     assert mask < 1 << len(orbit)
     for alg in (bose(), fermi(), quon(HALF)):
         assert sector_dimension(ms, alg, rule) == gram_matrix(ms, alg, rule).rank()

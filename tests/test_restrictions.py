@@ -7,7 +7,9 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from fockcount.counting import count_gentile
+from fockcount.core import bose
+from fockcount.counting import count_enumerated, count_gentile
+from fockcount.gram import gram_matrix, sector_dimension
 from fockcount.restrictions import (
     AdjacentPairRule,
     CSRule,
@@ -30,6 +32,7 @@ from oracles import (
     cs_allowed,
     filter_states,
     gentile_allowed,
+    total_cap_allowed,
     window_allowed,
     x_allowed,
     x_bose_allowed,
@@ -123,6 +126,16 @@ def test_total_cap_rule():
         TotalCapRule(0)
 
 
+def test_occupancy_rules_decide_an_unsorted_word_by_its_multiset():
+    assert not GentileRule(2).allows((3, 1, 3, 1, 3))
+    assert GentileRule(3).allows((3, 1, 3, 1, 3))
+    assert TotalCapRule(3).allows((2, 1, 2))
+    assert not TotalCapRule(2).allows((2, 1, 2))
+    for rule in (GentileRule(1), TotalCapRule(1)):
+        assert rule.allows(())
+        assert rule.multiset_allowed(())
+
+
 def test_window_rules():
     assert WindowRule(2, "min").allows((1, 3, 6))
     assert not WindowRule(2, "min").allows((1, 2))
@@ -142,12 +155,12 @@ RULE_PREDICATES = {
     WindowRule(2, "min"): lambda s: window_allowed(s, 2, "min"),
     WindowRule(2, "max"): lambda s: window_allowed(s, 2, "max"),
     GentileRule(2): lambda s: gentile_allowed(s, 2),
-    TotalCapRule(2): lambda s: len(s) <= 2,
+    TotalCapRule(2): lambda s: total_cap_allowed(s, 2),
     None: lambda s: True,
     WindowRule(0, "min"): lambda s: window_allowed(s, 0, "min"),
     GentileRule(1): lambda s: gentile_allowed(s, 1),
     GentileRule(3): lambda s: gentile_allowed(s, 3),
-    TotalCapRule(5): lambda s: len(s) <= 5,
+    TotalCapRule(5): lambda s: total_cap_allowed(s, 5),
     CSRule(4, 1): lambda s: cs_allowed(s, 4, 1),
     XFermiRule((6,)): lambda s: x_allowed(s, (6,)),
     CSRule(0, 1): lambda s: cs_allowed(s, 0, 1),
@@ -196,6 +209,13 @@ def test_rule_of_no_supported_type_is_refused():
             enumerate_allowed(4, n, EveryWord())
         with pytest.raises(TypeError, match="EveryWord"):
             count_allowed_states(4, n, EveryWord())
+    # the Gram route tests no word one by one, so it refuses the rule too
+    with pytest.raises(TypeError, match="EveryWord"):
+        sector_dimension((1, 2, 2), bose(), EveryWord())
+    with pytest.raises(TypeError, match="EveryWord"):
+        gram_matrix((1, 2, 2), bose(), EveryWord())
+    with pytest.raises(TypeError, match="EveryWord"):
+        count_enumerated(4, 2, EveryWord(), bose())
 
 
 def test_enumeration_free_case_counts():

@@ -31,7 +31,8 @@ from .restrictions import CapacityExceededError
 # Gram build keeps one per distinct histogram of its shape and of each
 # sub-shape it is built from, so memory grows with N**2 times that count: at
 # 12 letters the worst orbit within the 720-word Gram guard, (1^9, 2, 2, 3),
-# peaks at about 60 MB built and 75 MB ranked.
+# peaks at about 62 MB built and 65 MB ranked (VmHWM of a cold
+# `fockcount gram --multiset 1,1,1,1,1,1,1,1,1,2,2,3 --alg quon:1/2`).
 MAX_WORD_LETTERS = 12
 
 # Bits per packed histogram coefficient. A coefficient counts bijections of

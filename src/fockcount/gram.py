@@ -26,17 +26,22 @@ cached per (canonical word, banned pairs); an occupancy rule reads only
 occupation numbers, so it keeps the whole orbit or none, decided on the
 canonical word. A rule of any other type raises TypeError.
 
-Ranks and determinants share one exact kernel over the integers. The
-matrix is scaled to integers by the common denominator of its entries, and
-all-zero rows and columns are dropped. A symmetric matrix is then
-eliminated modulo the prime RANK_PRIME = 2^30 - 35 on its upper triangle,
-pivoting on the diagonal only. If every pivot is nonzero the rank mod p is
-n, and rank_p <= rank_Q <= n certifies rank n over Q. Gram matrices are
+Ranks are certified by one modular kernel; determinants, and ranks it
+cannot certify, go through one exact kernel. A matrix is scaled to
+integers (a Gram matrix by den(q)^(N(N-1)/2), one value per distinct
+histogram). A symmetric matrix is reduced modulo the prime RANK_PRIME =
+2^24 - 3 and eliminated on its upper triangle, pivoting on the diagonal
+only. Each row is packed into one integer with a 64-bit slot per column:
+a step reduces only the pivot row and updates each later row by one
+big-integer multiply-add. If every pivot is nonzero the rank mod p is n,
+and rank_p <= rank_Q <= n certifies rank n over Q. Gram matrices are
 symmetric, and for |q| < 1 positive definite (Bozejko and Speicher 1991,
 Zagier 1992), so over Q no diagonal pivot vanishes and this is the usual
 route. Any other matrix (a zero pivot mod p, a deficient rank, a
 non-symmetric input), and every determinant, goes through fraction-free
-Bareiss elimination, which is exact.
+Bareiss elimination of the integer matrix without its all-zero rows and
+columns, which is exact; a Gram matrix's integer matrix is built only
+then.
 """
 
 from collections import Counter
@@ -45,6 +50,7 @@ from functools import lru_cache
 from fractions import Fraction
 from math import factorial, lcm, prod
 from numbers import Rational
+from sys import byteorder
 
 from .core import AlgebraSpec, Frozen, ModeLattice, MonomialState
 from .algebra_engine import (
@@ -63,9 +69,16 @@ from .restrictions import (
 # Largest permutation orbit a Gram matrix is built for: 6! = 720 words.
 MAX_ORBIT_WORDS = 720
 
-# Modulus of the certified rank: a prime below 2^30, so every residue is one
-# 30-bit CPython digit and a product of two residues has at most two.
-RANK_PRIME = (1 << 30) - 35
+# Modulus of the certified rank. A packed row gives each column a 64-bit
+# slot, which holds a residue below p and then gains at most (p - 1)**2 per
+# elimination step until its row is reduced as the pivot row. With this
+# prime p + (n - 1)(p - 1)**2 < 2**64 for every n <= 2**16 rows, far more
+# than MAX_ORBIT_WORDS, so no slot carries into the next.
+RANK_PRIME = (1 << 24) - 3
+
+# Slot order of memoryview.cast("Q") on a row's to_bytes in native byte
+# order: column order on a little-endian machine, reversed on a big-endian one.
+_SLOT_STEP = 1 if byteorder == "little" else -1
 
 
 def _scaled_to_integers(rows: Sequence[Sequence[Rational]]) -> tuple[list[list[int]], int]:
@@ -103,28 +116,47 @@ def _is_symmetric(m: list[list[int]]) -> bool:
     return len(m) == len(m[0]) and all(row == list(col) for row, col in zip(m, zip(*m)))
 
 
-def _diagonal_pivots_nonzero_mod_prime(m: list[list[int]]) -> bool:
-    """Eliminate a symmetric integer matrix modulo RANK_PRIME, pivoting on
-    the diagonal only; True when every pivot is nonzero.
+def _residue_bytes(x: int) -> bytes:
+    """One packed-row slot: x mod RANK_PRIME as 8 little-endian bytes."""
+    return (x % RANK_PRIME).to_bytes(8, "little")
 
-    Only the upper triangle is kept: upper[i] holds row i from column i on,
-    and step k subtracts m[k][i] / m[k][k] times row k from row i, which
-    keeps the remaining matrix symmetric. A row is reduced mod p when it
-    becomes the pivot row; until then each step adds less than p**2 to an
-    entry's magnitude.
+
+def _packed(slots: Iterable[bytes]) -> int:
+    """A packed row from its slots in column order: slot j in bits [64j, 64j + 64)."""
+    return int.from_bytes(b"".join(slots), "little")
+
+
+def _diagonal_pivots_nonzero_mod_prime(rows: list[int]) -> bool:
+    """Eliminate a symmetric matrix modulo RANK_PRIME, pivoting on the
+    diagonal only; True when every pivot is nonzero. rows is modified in place.
+
+    rows[i] is row i of the upper triangle, columns i..n-1, packed into one
+    int with column i + j in bits [64j, 64j + 64) and every slot below p.
+    Step k subtracts m[k][i] / m[k][k] times row k from each later row i,
+    which keeps the remaining matrix symmetric. Only the pivot row is
+    unpacked, reduced mod p and repacked, once; row k + t then gains
+    f * (pivot >> 64t) with f = -m[k][k + t] / m[k][k] mod p, one big-int
+    multiply-add whose slots stay nonnegative and, by the bound on
+    RANK_PRIME, below 2**64.
+
+    The row is unpacked with to_bytes in the machine's byte order, so
+    memoryview.cast("Q") reads each slot right; on a big-endian machine the
+    bytes hold the highest column first, so the slots are read from the
+    other end (_SLOT_STEP).
     """
     p = RANK_PRIME
-    n = len(m)
-    upper = [row[i:] for i, row in enumerate(m)]
+    n = len(rows)
     for k in range(n):
-        top = [x % p for x in upper[k]]
+        width = n - k
+        data = rows[k].to_bytes(8 * width, byteorder)
+        top = [x % p for x in memoryview(data).cast("Q")[::_SLOT_STEP].tolist()]
         if not top[0]:
             return False
-        inverse = pow(top[0], -1, p)
-        for i in range(1, n - k):
-            if top[i]:
-                f = top[i] * inverse % p
-                upper[k + i] = [a - f * b for a, b in zip(upper[k + i], top[i:])]
+        negated_inverse = p - pow(top[0], -1, p)
+        pivot = _packed([x.to_bytes(8, "little") for x in top])
+        for t in range(1, width):
+            if top[t]:
+                rows[k + t] += top[t] * negated_inverse % p * (pivot >> 64 * t)
     return True
 
 
@@ -172,7 +204,8 @@ def rational_rank(rows: Sequence[Sequence[Rational]]) -> int:
     m = _without_zero_lines(_scaled_to_integers(rows)[0])
     if not m:
         return 0
-    if _is_symmetric(m) and _diagonal_pivots_nonzero_mod_prime(m):
+    if _is_symmetric(m) and _diagonal_pivots_nonzero_mod_prime(
+            [_packed(map(_residue_bytes, row[i:])) for i, row in enumerate(m)]):
         return len(m)
     return _bareiss(m)[0]
 
@@ -368,14 +401,24 @@ def gram_matrix(
 def _sector_rank(word: MonomialState, q: Fraction, live_mask: int) -> int:
     """Rank of the canonical multiset's Gram matrix restricted to the words
     whose bits are set in live_mask. Entries are scaled by
-    den(q)**(N(N-1)/2), the largest inversion number, so they are integers."""
+    den(q)**(N(N-1)/2), the largest inversion number, so they are integers.
+
+    The packed rows are joined from one residue string per distinct value;
+    the integer matrix is built only when the modular kernel cannot certify
+    full rank."""
     if not live_mask:
         return 0
     _, classes, hists = _shape_gram(word)
     degree = len(word) * (len(word) - 1) // 2
     values = [scaled_polynomial(h, q, degree) for h in hists]
+    if not any(values):
+        return 0
+    residues = list(map(_residue_bytes, values))
     live = [i for i in range(len(classes)) if live_mask >> i & 1]
-    return rational_rank([[values[classes[i][j]] for j in live] for i in live])
+    rows = [_packed([residues[classes[i][j]] for j in live[a:]]) for a, i in enumerate(live)]
+    if _diagonal_pivots_nonzero_mod_prime(rows):
+        return len(live)
+    return _bareiss(_without_zero_lines([[values[classes[i][j]] for j in live] for i in live]))[0]
 
 
 def _live_mask(word: MonomialState, letters: tuple[int, ...],

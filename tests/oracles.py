@@ -5,8 +5,8 @@ algorithm than the implementation under test: inner products via
 explicit permutation sums (permanent / determinant / inversion count /
 sums of q**inv over letter-preserving permutations) or by applying
 annihilators one at a time to linear combinations of words, ranks via
-plain Gaussian elimination over Fraction, and counting via filtering the
-full candidate set. Slow on purpose; keep the grids small.
+plain Gaussian elimination over Fraction, modular elimination one entry
+at a time over lists, and counting via filtering the full candidate set. Slow on purpose; keep the grids small.
 """
 
 from dataclasses import dataclass
@@ -170,6 +170,23 @@ def gauss_rank(matrix):
         if row == rows:
             break
     return rank
+
+
+def diagonal_pivots_nonzero_mod(matrix, p):
+    """Eliminate a square matrix modulo the prime p over lists, one entry
+    at a time, pivoting on the diagonal only; True when every pivot is
+    nonzero."""
+    m = [[x % p for x in row] for row in matrix]
+    n = len(m)
+    for k in range(n):
+        if not m[k][k]:
+            return False
+        inverse = pow(m[k][k], -1, p)
+        for i in range(k + 1, n):
+            factor = m[i][k] * inverse % p
+            for j in range(k, n):
+                m[i][j] = (m[i][j] - factor * m[k][j]) % p
+    return True
 
 
 def brute_states(n_sites, n_particles):

@@ -3,14 +3,15 @@ shape-keyed build are cross-checked against a brute-force sum over
 permutations, ranks from the integer kernel (modular certificate, then
 fraction-free elimination) against a plain Fraction Gaussian eliminator,
 determinants against the permutation-sum formula and Zagier's product
-formula."""
+formula. The packed modular kernel is held against a per-entry elimination
+over lists."""
 
 import re
 import time
 from decimal import Decimal
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations, product
-from math import factorial, prod
+from math import factorial, isqrt, prod
 
 import pytest
 from hypothesis import example, given
@@ -24,8 +25,11 @@ from fockcount.gram import (
     RANK_PRIME,
     _canonical,
     _canonical_orbit,
+    _diagonal_pivots_nonzero_mod_prime,
     _live_mask,
+    _packed,
     _pair_mask,
+    _residue_bytes,
     _sector_rank,
     _shape_gram,
     exact_determinant,
@@ -49,6 +53,7 @@ from fockcount.restrictions import (
 
 from oracles import (
     determinant_bruteforce,
+    diagonal_pivots_nonzero_mod,
     gauss_rank,
     gentile_allowed,
     quon_overlap_bruteforce,
@@ -186,6 +191,51 @@ def symmetric_integer_matrices(draw):
 @given(symmetric_integer_matrices())
 def test_rational_rank_matches_gaussian_elimination_on_symmetric_matrices(rows):
     assert rational_rank(rows) == gauss_rank(rows)
+
+
+def test_rank_prime_is_prime_and_keeps_packed_slots_apart():
+    p = RANK_PRIME
+    assert all(p % d for d in range(2, isqrt(p) + 1))
+    # a slot starts below p and gains at most (p - 1)**2 on each of the
+    # n - 1 steps before its row is reduced, here for 2**16 rows
+    assert p + ((1 << 16) - 1) * (p - 1) ** 2 < 1 << 64
+
+
+@st.composite
+def symmetric_residue_matrices(draw):
+    n = draw(st.integers(min_value=1, max_value=12))
+    cell = st.one_of(st.sampled_from([0, 1, RANK_PRIME - 1]),
+                     st.integers(min_value=0, max_value=RANK_PRIME - 1))
+    upper = {(i, j): draw(cell) for i in range(n) for j in range(i, n)}
+    return [[upper[min(i, j), max(i, j)] for j in range(n)] for i in range(n)]
+
+
+@given(symmetric_residue_matrices())
+@example([[0] * 12 for _ in range(12)])
+@example([[RANK_PRIME - 1] * 12 for _ in range(12)])
+@example([[RANK_PRIME - 1 if i == j else RANK_PRIME - 2 for j in range(12)] for i in range(12)])
+@example([[0, 1, 2], [1, 0, 3], [2, 3, 0]])
+def test_packed_kernel_matches_per_entry_elimination(m):
+    rows = [_packed(map(_residue_bytes, row[i:])) for i, row in enumerate(m)]
+    assert _diagonal_pivots_nonzero_mod_prime(rows) == diagonal_pivots_nonzero_mod(m, RANK_PRIME)
+
+
+def test_all_zero_sector_ranks_zero():
+    # a repeated letter at q = -1: every histogram's value vanishes
+    word = _canonical((1, 1, 2, 2))[0]
+    assert _sector_rank(word, Fraction(-1), (1 << 6) - 1) == 0
+    assert sector_dimension((1, 1, 2, 2), fermi()) == 0
+
+
+@pytest.mark.parametrize("q", [Fraction(1, RANK_PRIME), Fraction(RANK_PRIME)])
+@pytest.mark.parametrize("ms", [(1, 2, 3), (1, 1, 2, 3)])
+def test_sector_rank_when_the_prime_divides_q(ms, q):
+    # residues come from the exact scaled values: most vanish at q = 1/p,
+    # and at q = p the matrix mod p is that of q = 0
+    states = permutation_orbit(ms)
+    entries = [[quon_overlap_bruteforce(u, v, q) for v in states] for u in states]
+    full = (1 << len(states)) - 1
+    assert _sector_rank(_canonical(ms)[0], q, full) == gauss_rank(entries)
 
 
 @pytest.mark.parametrize("q", [Fraction(2), Fraction(-2)])

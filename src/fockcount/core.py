@@ -19,22 +19,17 @@ class FrozenInstanceError(AttributeError):
     """An attempt to assign or delete a field of a record."""
 
 
-_OMITTED = object()
-
-
 class Frozen:
     """Immutable record whose fields are the names in its class's __slots__.
 
-    Fields are given by position or keyword; a field left out is made by
-    its zero-argument factory in `_defaults`, if it has one. `_check()`
-    then validates the fields and may normalise one with
-    object.__setattr__. Two records are equal when they are of the same
-    class and their field tuples are equal; a record hashes as its field
-    tuple, and copies and pickles by calling its constructor again.
+    Fields are given by position or keyword; `_check()` then validates
+    them and may normalise one with object.__setattr__. Two records are
+    equal when they are of the same class and their field tuples are equal;
+    a record hashes as its field tuple, and copies and pickles by calling
+    its constructor again.
     """
 
     __slots__ = ()
-    _defaults = {}
 
     def __init_subclass__(cls, **kwargs):
         # Each record class gets an __init__ with its fields as parameters,
@@ -44,15 +39,10 @@ class Frozen:
         fields = cls.__dict__.get("__slots__", ())
         if not fields:
             return
-        params = [f"{name}=_OMITTED" if name in cls._defaults else name for name in fields]
-        lines = [f"def __init__(self, {', '.join(params)}):"]
-        for name in fields:
-            if name in cls._defaults:
-                lines.append(f"    if {name} is _OMITTED: {name} = defaults[{name!r}]()")
-            lines.append(f"    _set(self, {name!r}, {name})")
+        lines = [f"def __init__(self, {', '.join(fields)}):"]
+        lines += [f"    _set(self, {name!r}, {name})" for name in fields]
         lines.append("    self._check()")
-        namespace = {"_set": object.__setattr__, "_OMITTED": _OMITTED,
-                     "defaults": cls._defaults}
+        namespace = {"_set": object.__setattr__}
         exec("\n".join(lines), namespace)
         cls.__init__ = namespace["__init__"]
         cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"

@@ -24,9 +24,8 @@ from .restrictions import CSRule, GentileRule, TotalCapRule, _check_sizes
 class GReport(Frozen):
     """Closed-form vs definitional statistics parameter at one grid point."""
 
-    # Fraction | None, Fraction | None, bool | None, dict (fresh when omitted)
-    __slots__ = ("g_closed_form", "g_definitional", "agrees", "context")
-    _defaults = {"context": dict}
+    # Fraction, Fraction, bool
+    __slots__ = ("g_closed_form", "g_definitional", "agrees")
 
 
 def g_cs_finite(
@@ -157,7 +156,6 @@ def compare_cs_finite(
     difference for the closest-packed state grown by its nearest admissible
     site on the chosen side."""
     closed = g_cs_finite(n_sites, i1, n_particles, p, q, side)
-    closed_strict = g_cs_finite(n_sites, i1, n_particles, p, q, side, strict=True)
     pack = closest_pack(i1, n_particles, p)
     added = pack[-1] + p if side == "right" else i1 - p
     if not 1 <= added <= n_sites:
@@ -170,15 +168,6 @@ def compare_cs_finite(
         g_closed_form=Fraction(closed),
         g_definitional=definitional,
         agrees=closed == definitional,
-        context={
-            "M": n_sites,
-            "i1": i1,
-            "N": n_particles,
-            "p": p,
-            "q": q,
-            "side": side,
-            "strict_closed_form": closed_strict,
-        },
     )
 
 
@@ -199,7 +188,6 @@ def compare_para(n_sites: int, n: int, k: int, p: int, kind: str) -> GReport:
         g_closed_form=closed,
         g_definitional=definitional,
         agrees=closed == definitional,
-        context={"M": n_sites, "n": n, "k": k, "p": p, "kind": kind},
     )
 
 
@@ -232,7 +220,6 @@ def compare_gentile_average(pattern: Sequence[int], n_sites: int) -> GReport:
         g_closed_form=closed,
         g_definitional=definitional,
         agrees=closed == definitional,
-        context={"pattern": tuple(pattern), "M": n_sites},
     )
 
 
@@ -249,5 +236,4 @@ def compare_single_gentile(filling: int, max_occupancy: int) -> GReport:
         g_closed_form=Fraction(closed),
         g_definitional=definitional,
         agrees=closed == definitional,
-        context={"n": filling, "m": max_occupancy},
     )

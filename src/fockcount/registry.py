@@ -240,7 +240,7 @@ def _verify_cs_finite_definitional():
             if side == "left" and i1 - 2 * p < 1:
                 continue
             report = compare_cs_finite(m, i1, n, p, q, side)
-            strict = report.context["strict_closed_form"]
+            strict = g_cs_finite(m, i1, n, p, q, side, strict=True)
             ok = strict == report.g_definitional
             yield (
                 f"M={m} i1={i1} N={n} p={p} q={q} side={side}",

@@ -78,7 +78,8 @@ def test_definitional_matches_strict_bracket_in_bulk():
     ]
     for m, i1, n, p, q, side in cases:
         report = compare_cs_finite(m, i1, n, p, q, side)
-        assert report.context["strict_closed_form"] == report.g_definitional
+        assert isinstance(report.g_definitional, Fraction)
+        assert report.g_definitional == g_cs_finite(m, i1, n, p, q, side, strict=True)
 
 
 def test_definitional_departs_from_bulk_form_at_wall():
@@ -86,7 +87,7 @@ def test_definitional_departs_from_bulk_form_at_wall():
     # the report surfaces the disagreement instead of hiding it
     report = compare_cs_finite(12, 3, 1, 2, 1, "left")
     assert report.g_definitional == 1
-    assert report.context["strict_closed_form"] == 2
+    assert g_cs_finite(12, 3, 1, 2, 1, "left", strict=True) == 2
     assert report.agrees is False
 
 
@@ -161,10 +162,3 @@ def test_g_para_definitional_sweep():
                     for kind in ("fermi", "bose"):
                         report = compare_para(m, n, k, p, kind)
                         assert report.agrees, (m, n, k, p, kind, report)
-
-
-def test_compare_cs_finite_context_payload():
-    report = compare_cs_finite(12, 1, 2, 1, 2, "right")
-    assert report.context["M"] == 12
-    assert report.context["side"] == "right"
-    assert isinstance(report.g_definitional, Fraction)

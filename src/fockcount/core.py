@@ -4,6 +4,7 @@ Everything downstream (inner products, Gram ranks, counting laws) is built
 on exact rational arithmetic; floats appear only in the spectrum module.
 """
 
+from bisect import bisect_left
 from fractions import Fraction
 
 # A monomial state is the ordered word of creation-operator mode indices
@@ -91,7 +92,14 @@ class ModeLattice(Frozen):
         return len(self.sites)
 
     def __contains__(self, site: object) -> bool:
-        return site in self.sites
+        # Sites are strictly increasing, so a site is found by bisection; an
+        # object that does not compare with the sites is not one of them.
+        sites = self.sites
+        try:
+            i = bisect_left(sites, site)
+        except TypeError:
+            return False
+        return i < len(sites) and sites[i] == site
 
     def __iter__(self):
         return iter(self.sites)

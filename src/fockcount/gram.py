@@ -2,9 +2,11 @@
 
 The N-particle sector spanned by one index multiset is analysed through the
 Gram matrix of all distinct orderings of the multiset. Its rank over the
-rationals is the number of independent states the multiset contributes;
-summing single-site extensions gives the one-particle dimension, and
-differences of those give the extended exclusion-statistics parameter.
+rationals is the number of independent states the multiset contributes.
+The one-particle dimension sums the ranks of the single-site extensions;
+sites whose extensions share a canonical word and a live-word mask form
+one class, ranked once. Differences of one-particle dimensions give the
+extended exclusion-statistics parameter.
 
 Gram work is keyed by shape. A multiset is renamed order-preservingly to
 the letters 0..k-1, which keeps the lexicographic order of its orbit, so
@@ -18,13 +20,13 @@ mirrored). A Gram matrix evaluates one value per distinct histogram and
 relabels the words; a rule zeroes the rows and columns of the words
 outside its live-word mask. Ranks read integers scaled by
 den(q)^(N(N-1)/2) from the live submatrix and are cached per (canonical
-word, q, live-word mask), so relabelled sectors and the repeated sectors
-of one-particle dimensions are ranked once. The live-word mask, the one
-test of which words a rule keeps, needs no Gram structure either: a gap
-rule's comes from the canonical orbit and the letter pairs the rule bans,
-cached per (canonical word, banned pairs); an occupancy rule reads only
-occupation numbers, so it keeps the whole orbit or none, decided on the
-canonical word. A rule of any other type raises TypeError.
+word, q, live-word mask), so relabelled sectors are ranked once. The
+live-word mask, the one test of which words a rule keeps, needs no Gram
+structure either: a gap rule's comes from the canonical orbit and the
+letter pairs the rule bans, cached per (canonical word, banned pairs); an
+occupancy rule reads only occupation numbers, so it keeps the whole orbit
+or none, decided on the canonical word. A rule of any other type raises
+TypeError.
 
 Ranks are certified by one modular kernel; determinants, and ranks it
 cannot certify, go through one exact kernel. A matrix is scaled to
@@ -44,6 +46,7 @@ columns, which is exact; a Gram matrix's integer matrix is built only
 then.
 """
 
+from bisect import bisect_left
 from collections import Counter
 from collections.abc import Iterable, Sequence
 from functools import lru_cache
@@ -461,12 +464,38 @@ def one_particle_dimension(
 
     Defined as the sum over lattice sites of the sector dimension of the
     fixed multiset extended by that site. The fixed multiset may be empty.
+
+    Sites fall into classes that share one rank, and each class is ranked
+    once, at its first site. The class of site j is its place s among the
+    sorted distinct fixed letters, whether j is one of them, and, for a new
+    j under a gap rule, the rule's verdicts on the gaps between j and each
+    fixed letter. This is exact: s and presence fix the canonical word; the
+    banned pairs are the fixed letters' own, the same at every site, and
+    those verdicts; an occupancy rule decides on the canonical word alone;
+    and q is the same at every site.
     """
     fixed = tuple(fixed)
     for idx in fixed:
         if idx not in lattice:
             raise ValueError(f"fixed index {idx} is not a site of the lattice")
-    return sum(sector_dimension(fixed + (j,), alg, rule) for j in lattice)
+    letters = sorted(set(fixed))
+    by_gap = isinstance(rule, AdjacentPairRule)
+    ranks: dict[tuple, int] = {}
+    total = 0
+    for j in lattice:
+        s = bisect_left(letters, j)
+        if s < len(letters) and letters[s] == j:
+            key = (s, True)
+        elif by_gap:
+            key = (s, False, *[rule.gap_allowed(j - x) for x in letters],
+                   *[rule.gap_allowed(x - j) for x in letters])
+        else:
+            key = (s, False)
+        rank = ranks.get(key)
+        if rank is None:
+            rank = ranks[key] = sector_dimension(fixed + (j,), alg, rule)
+        total += rank
+    return total
 
 
 def extended_g(

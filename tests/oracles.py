@@ -6,12 +6,16 @@ explicit permutation sums (permanent / determinant / inversion count /
 sums of q**inv over letter-preserving permutations) or by applying
 annihilators one at a time to linear combinations of words, ranks via
 plain Gaussian elimination over Fraction, modular elimination one entry
-at a time over lists, and counting via filtering the full candidate set. Slow on purpose; keep the grids small.
+at a time over lists, counting via filtering the full candidate set, and
+one-particle dimensions via one sector rank per lattice site. Slow on
+purpose; keep the grids small.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations
+
+from fockcount.gram import sector_dimension
 
 
 def permanent(matrix):
@@ -259,3 +263,10 @@ def count_by_site_table(n_sites, n_particles, rule, canonical):
                 extended[k] += ways
         counts = extended
     return sum(counts)
+
+
+def one_particle_by_site(fixed, lattice, alg, rule=None):
+    """One-particle dimension as one sector rank per lattice site, with no
+    classes of sites: the sum of the ranks of fixed extended by each site."""
+    fixed = tuple(fixed)
+    return sum(sector_dimension(fixed + (j,), alg, rule) for j in lattice)

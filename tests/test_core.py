@@ -36,6 +36,16 @@ def test_custom_lattice_sites():
     assert 5 in lat and 3 not in lat
 
 
+def test_lattice_membership_by_bisection():
+    lat = ModeLattice(sites=tuple(range(-5, 10**6, 3)))
+    assert 4 in lat
+    assert 5 not in lat
+    assert lat.sites[-1] in lat and lat.sites[-1] + 3 not in lat
+    assert -5 in lat and -8 not in lat
+    assert "a" not in lat
+    assert float("nan") not in lat
+
+
 def test_bose_fermi_fixed_parameters():
     assert bose().q == 1
     assert fermi().q == -1

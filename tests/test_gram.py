@@ -18,7 +18,8 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from fockcount.algebra_engine import MAX_WORD_LETTERS, _contract, inner_product
-from fockcount.core import bose, build_lattice, fermi, quon
+from fockcount import gram
+from fockcount.core import ModeLattice, bose, build_lattice, fermi, quon
 from fockcount.counting import count_enumerated
 from fockcount.gram import (
     MAX_ORBIT_WORDS,
@@ -47,8 +48,11 @@ from fockcount.restrictions import (
     CapacityExceededError,
     CSRule,
     GentileRule,
+    RestrictionRule,
     TotalCapRule,
     WindowRule,
+    XBoseRule,
+    XFermiRule,
 )
 
 from oracles import (
@@ -56,6 +60,7 @@ from oracles import (
     diagonal_pivots_nonzero_mod,
     gauss_rank,
     gentile_allowed,
+    one_particle_by_site,
     quon_overlap_bruteforce,
     total_cap_allowed,
 )
@@ -431,6 +436,69 @@ def test_extended_g_total_cap_rule():
     after = one_particle_dimension((1, 2), lat, fermi(), TotalCapRule(2))
     assert before == 5 and after == 0
     assert extended_g((1,), (2,), lat, fermi(), TotalCapRule(2)) == 5
+
+
+@st.composite
+def lattices_with_fixed(draw):
+    """An increasing lattice, gaps and negative labels included, and a fixed
+    multiset drawn from its sites, repeated sites and the empty one included."""
+    sites = tuple(sorted(draw(st.sets(st.integers(-12, 12), min_size=1, max_size=9))))
+    return ModeLattice(sites), tuple(draw(st.lists(st.sampled_from(sites), max_size=4)))
+
+
+GAP_SETS = st.sets(st.integers(1, 6), min_size=1, max_size=3)
+
+
+@given(
+    lattices_with_fixed(),
+    st.sampled_from((bose(), fermi(), quon(0), quon(HALF), quon(Fraction(-1, 3)))),
+    st.one_of(
+        st.none(),
+        st.builds(CSRule, st.integers(0, 3), st.integers(1, 3)),
+        st.builds(XFermiRule, GAP_SETS),
+        st.builds(XBoseRule, GAP_SETS),
+        st.builds(WindowRule, st.integers(1, 3), st.sampled_from(("min", "max"))),
+        st.builds(GentileRule, st.integers(1, 3)),
+        st.builds(TotalCapRule, st.integers(1, 4)),
+    ),
+)
+@example((build_lattice(6), ()), quon(0), CSRule(1, 2))
+@example((ModeLattice((-4, -1, 0, 3)), (-1, -1, 3)), quon(HALF), None)
+@example((ModeLattice((-3, -1, 0, 2, 5, 6)), (-1, 5)), quon(HALF), WindowRule(3, "max"))
+@example((ModeLattice((0, 1, 3, 4, 7, 10)), (1, 4)), bose(), XBoseRule((3,)))
+def test_one_particle_dimension_folds_sites_exactly(case, alg, rule):
+    lattice, fixed = case
+    assert one_particle_dimension(fixed, lattice, alg, rule) == one_particle_by_site(
+        fixed, lattice, alg, rule)
+
+
+def test_one_particle_dimension_ranks_once_per_class_of_sites(monkeypatch):
+    calls = []
+
+    def counted(indices, alg, rule=None):
+        calls.append(tuple(indices))
+        return sector_dimension(indices, alg, rule)
+
+    monkeypatch.setattr(gram, "sector_dimension", counted)
+    lattice = build_lattice(40)
+    # below 3, at 3 and above 3: three classes of sites
+    assert one_particle_dimension((3,), lattice, quon(HALF)) == 40 * 2 - 1
+    assert calls == [(3, 1), (3, 3), (3, 4)]
+    calls.clear()
+    # only the gaps 1, 3, 5, ... are allowed, so the verdicts split the sites
+    # below 3 into two classes and those above 3 into two: sites 2 and 4, 6, ..., 40
+    assert one_particle_dimension((3,), lattice, quon(0), CSRule(1, 2)) == 20
+    assert len(calls) == 5
+
+
+def test_one_particle_dimension_refuses_what_a_sector_refuses():
+    class EveryWord(RestrictionRule):
+        __slots__ = ()
+
+    with pytest.raises(TypeError, match="EveryWord"):
+        one_particle_dimension((1, 2), build_lattice(4), bose(), EveryWord())
+    with pytest.raises(CapacityExceededError):
+        one_particle_dimension((1,) * 12, build_lattice(3), bose())
 
 
 # Every multiset shape with at most four particles, on the letters 1..k.

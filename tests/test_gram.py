@@ -48,7 +48,6 @@ from fockcount.restrictions import (
     CapacityExceededError,
     CSRule,
     GentileRule,
-    RestrictionRule,
     TotalCapRule,
     WindowRule,
     XBoseRule,
@@ -491,12 +490,7 @@ def test_one_particle_dimension_ranks_once_per_class_of_sites(monkeypatch):
     assert len(calls) == 5
 
 
-def test_one_particle_dimension_refuses_what_a_sector_refuses():
-    class EveryWord(RestrictionRule):
-        __slots__ = ()
-
-    with pytest.raises(TypeError, match="EveryWord"):
-        one_particle_dimension((1, 2), build_lattice(4), bose(), EveryWord())
+def test_one_particle_dimension_refuses_a_thirteen_letter_extension():
     with pytest.raises(CapacityExceededError):
         one_particle_dimension((1,) * 12, build_lattice(3), bose())
 

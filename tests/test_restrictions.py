@@ -7,9 +7,9 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from fockcount.core import bose
+from fockcount.core import bose, build_lattice
 from fockcount.counting import count_enumerated, count_gentile
-from fockcount.gram import gram_matrix, sector_dimension
+from fockcount.gram import gram_matrix, one_particle_dimension, sector_dimension
 from fockcount.restrictions import (
     AdjacentPairRule,
     CSRule,
@@ -216,6 +216,8 @@ def test_rule_of_no_supported_type_is_refused():
         gram_matrix((1, 2, 2), bose(), EveryWord())
     with pytest.raises(TypeError, match="EveryWord"):
         count_enumerated(4, 2, EveryWord(), bose())
+    with pytest.raises(TypeError, match="EveryWord"):
+        one_particle_dimension((1, 2), build_lattice(4), bose(), EveryWord())
 
 
 def test_enumeration_free_case_counts():

@@ -12,6 +12,7 @@ order.
 
 import csv
 import io
+import math
 import os
 import sys
 from collections.abc import Iterator
@@ -363,9 +364,16 @@ def run_spectrum(args) -> tuple[list[str], list[tuple], int]:
                 f"filling has {len(shifts)} entries but N={n}"
             )
         filling = Filling(shifts, lam, length)
-        e = energy(pseudomomenta(filling, anchor=args.anchor))
-        if all(s == 0 for s in shifts) and args.anchor == "symmetric":
-            e0 = ground_energy(n, lam, length)
+        ground = all(s == 0 for s in shifts) and args.anchor == "symmetric"
+        try:
+            # the energy, a sum of squares, is finite only if every pseudomomentum is
+            e = energy(pseudomomenta(filling, anchor=args.anchor))
+            e0 = ground_energy(n, lam, length) if ground else 0.0
+        except (OverflowError, ZeroDivisionError):
+            e = e0 = math.inf
+        if not (math.isfinite(e) and math.isfinite(e0)):
+            raise ValueError(f"energy at N={n}, lambda={lam}, L={length!r} leaves the float range")
+        if ground:
             scale = max(abs(e0), 1.0)
             agrees = abs(e - e0) <= 1e-12 * scale
             if not agrees:

@@ -82,6 +82,7 @@ class ModeLattice(Frozen):
     __slots__ = ("sites",)  # tuple[int, ...]
 
     def _check(self) -> None:
+        object.__setattr__(self, "sites", tuple(self.sites))
         if len(self.sites) == 0:
             raise ValueError("lattice must contain at least one site")
         if any(b <= a for a, b in zip(self.sites, self.sites[1:])):

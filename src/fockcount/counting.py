@@ -27,6 +27,7 @@ from .restrictions import (
     XBoseRule,
     XFermiRule,
     _check_candidates,
+    _check_rule,
     _check_sizes,
     count_allowed_words,
 )
@@ -231,6 +232,7 @@ def count_enumerated(
     computed directly; other algebras take the explicit Gram-rank route.
     """
     _check_sizes(n_sites, n_particles)
+    _check_rule(rule)
     if n_particles == 0:
         return 1
     if alg is None:

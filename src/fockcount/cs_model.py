@@ -19,6 +19,7 @@ class Filling(Frozen):
     __slots__ = ("n", "lam", "ring_length")  # tuple[int, ...], Fraction, float
 
     def _check(self) -> None:
+        object.__setattr__(self, "n", tuple(self.n))
         if any(x < 0 for x in self.n):
             raise ValueError("gap excitations must be non-negative")
         object.__setattr__(self, "lam", Fraction(self.lam))

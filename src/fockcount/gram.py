@@ -25,8 +25,8 @@ live-word mask, the one test of which words a rule keeps, needs no Gram
 structure either: a gap rule's comes from the canonical orbit and the
 letter pairs the rule bans, cached per (canonical word, banned pairs); an
 occupancy rule reads only occupation numbers, so it keeps the whole orbit
-or none, decided on the canonical word. A rule of any other type raises
-TypeError.
+or none, decided on the canonical word. It takes the rule types of
+`restrictions._RULE_TYPES`; any other raises TypeError.
 
 Ranks are certified by one modular kernel; determinants, and ranks it
 cannot certify, go through one exact kernel. A matrix is scaled to
@@ -65,8 +65,8 @@ from .algebra_engine import (
 from .restrictions import (
     AdjacentPairRule,
     CapacityExceededError,
-    OccupancyRule,
     RestrictionRule,
+    _check_rule,
 )
 
 # Largest permutation orbit a Gram matrix is built for: 6! = 720 words.
@@ -437,8 +437,7 @@ def _live_mask(word: MonomialState, letters: tuple[int, ...],
                             if not rule.gap_allowed(y - x)])
         return _pair_mask(word, banned)
     if rule is not None:
-        if not isinstance(rule, OccupancyRule):
-            raise TypeError(f"unsupported rule type {type(rule).__name__}")
+        _check_rule(rule)
         if not rule.multiset_allowed(word):
             return 0
     return (1 << len(_canonical_orbit(word))) - 1

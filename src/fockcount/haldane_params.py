@@ -28,6 +28,12 @@ class GReport(Frozen):
     __slots__ = ("g_closed_form", "g_definitional", "agrees")
 
 
+def _report(closed, definitional: Fraction) -> GReport:
+    """The report of one comparison: the closed form as a Fraction, the
+    definitional value and whether the two are equal."""
+    return GReport(Fraction(closed), definitional, closed == definitional)
+
+
 def g_cs_finite(
     n_sites: int, i1: int, n_particles: int, p: int, q: int, side: str,
     strict: bool = False,
@@ -164,11 +170,7 @@ def compare_cs_finite(
         )
     lattice = build_lattice(n_sites)
     definitional = extended_g(pack, (added,), lattice, quon(0), CSRule(p, q))
-    return GReport(
-        g_closed_form=Fraction(closed),
-        g_definitional=definitional,
-        agrees=closed == definitional,
-    )
+    return _report(closed, definitional)
 
 
 def compare_para(n_sites: int, n: int, k: int, p: int, kind: str) -> GReport:
@@ -184,11 +186,7 @@ def compare_para(n_sites: int, n: int, k: int, p: int, kind: str) -> GReport:
     lattice = build_lattice(n_sites)
     alg = fermi() if kind == "fermi" else bose()
     definitional = extended_g(fixed, added, lattice, alg, TotalCapRule(p))
-    return GReport(
-        g_closed_form=closed,
-        g_definitional=definitional,
-        agrees=closed == definitional,
-    )
+    return _report(closed, definitional)
 
 
 def _pattern_state(pattern: Sequence[int]) -> tuple[int, ...]:
@@ -216,11 +214,7 @@ def compare_gentile_average(pattern: Sequence[int], n_sites: int) -> GReport:
     open_sites = [site for site in lattice if occupancy[site] < m]
     losses = [extended_g(fixed, (site,), lattice, alg, rule) for site in open_sites]
     definitional = Fraction(sum(losses), len(open_sites))
-    return GReport(
-        g_closed_form=closed,
-        g_definitional=definitional,
-        agrees=closed == definitional,
-    )
+    return _report(closed, definitional)
 
 
 def compare_single_gentile(filling: int, max_occupancy: int) -> GReport:
@@ -232,8 +226,4 @@ def compare_single_gentile(filling: int, max_occupancy: int) -> GReport:
     definitional = extended_g(
         fixed, (1,), lattice, bose(), GentileRule(max_occupancy)
     )
-    return GReport(
-        g_closed_form=Fraction(closed),
-        g_definitional=definitional,
-        agrees=closed == definitional,
-    )
+    return _report(closed, definitional)

@@ -4,13 +4,13 @@ A rule decides which creator words survive projection. Gap rules constrain
 every adjacent ordered pair of the word (nearest-neighbour reading); the
 occupancy and total-number rules read only the word's occupation numbers,
 so they decide on its sorted multiset and keep a whole permutation orbit
-or none of it. Words failing a rule become null states. A rule of any
-other type is refused with TypeError wherever words are listed, counted or
-projected.
+or none of it. Words failing a rule become null states. Every route takes
+one set of rule types, `_RULE_TYPES`: gap rules, GentileRule, TotalCapRule
+(`count_allowed_states` gap rules only); any other raises TypeError.
 """
 
 from bisect import bisect_right
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterator, Sequence
 from itertools import accumulate
 from math import comb, log10
 from operator import add, sub
@@ -22,15 +22,6 @@ DEFAULT_CANDIDATE_CAP = 2_000_000
 
 class CapacityExceededError(RuntimeError):
     """An enumeration would visit more candidates than the configured cap."""
-
-
-def _validated_gaps(gaps: Iterable[int]) -> tuple[int, ...]:
-    xs = tuple(gaps)
-    if not xs:
-        raise ValueError("gap set must be non-empty")
-    if any(b <= a for a, b in zip(xs, xs[1:])) or xs[0] < 1:
-        raise ValueError("gap set must be strictly increasing positive integers")
-    return xs
 
 
 class RestrictionRule(Frozen):
@@ -74,13 +65,23 @@ class CSRule(AdjacentPairRule):
         return gap >= self.p and (gap - self.p) % self.q == 0
 
 
+def _check_gap_set(rule: AdjacentPairRule) -> None:
+    """XFermiRule's and XBoseRule's `_check`, assigned in each: Frozen reads
+    fields from __slots__, so neither may subclass a class that holds gaps."""
+    gaps = tuple(sorted(set(rule.gaps)))
+    if not gaps:
+        raise ValueError("gap set must be non-empty")
+    if gaps[0] < 1:
+        raise ValueError("gap set must be strictly increasing positive integers")
+    object.__setattr__(rule, "gaps", gaps)
+
+
 class XFermiRule(AdjacentPairRule):
     """Adjacent separations restricted to an explicit positive-gap set."""
 
     __slots__ = ("gaps",)  # tuple[int, ...]
 
-    def _check(self) -> None:
-        object.__setattr__(self, "gaps", _validated_gaps(tuple(sorted(set(self.gaps)))))
+    _check = _check_gap_set
 
     def gap_allowed(self, gap: int) -> bool:
         return gap in self.gaps
@@ -91,8 +92,7 @@ class XBoseRule(AdjacentPairRule):
 
     __slots__ = ("gaps",)  # tuple[int, ...]
 
-    def _check(self) -> None:
-        object.__setattr__(self, "gaps", _validated_gaps(tuple(sorted(set(self.gaps)))))
+    _check = _check_gap_set
 
     def gap_allowed(self, gap: int) -> bool:
         return gap == 0 or gap in self.gaps
@@ -162,6 +162,15 @@ class TotalCapRule(OccupancyRule):
 
     def multiset_allowed(self, word: Sequence[int]) -> bool:
         return len(word) <= self.cap
+
+
+_RULE_TYPES = (AdjacentPairRule, GentileRule, TotalCapRule)
+
+
+def _check_rule(rule: RestrictionRule | None, kinds: tuple[type, ...] = _RULE_TYPES) -> None:
+    """TypeError for a rule of none of the given kinds; None is no rule."""
+    if rule is not None and not isinstance(rule, kinds):
+        raise TypeError(f"unsupported rule type {type(rule).__name__}")
 
 
 def _check_sizes(n_sites: int, n_particles: int, least: int = 0) -> None:
@@ -251,12 +260,10 @@ def _check_listing(
     n_sites: int, n_particles: int, rule: RestrictionRule | None, cap: int
 ) -> None:
     """Every refusal of one listing, before any state is made: the (M, N)
-    domain, the candidate cap, and TypeError for a rule other than an
-    AdjacentPairRule, a GentileRule or a TotalCapRule."""
+    domain, the candidate cap, and a rule of none of the `_RULE_TYPES`."""
     _check_sizes(n_sites, n_particles)
     _check_candidates(n_sites, n_particles, cap)
-    if rule is not None and not isinstance(rule, (AdjacentPairRule, GentileRule, TotalCapRule)):
-        raise TypeError(f"unsupported rule type {type(rule).__name__}")
+    _check_rule(rule)
 
 
 def _allowed_groups(
@@ -286,23 +293,16 @@ def _allowed_groups(
     # nexts[j]: the steps that stay on the lattice from site j; a gap rule's
     # hold no more entries than there are two-particle states
     nexts = [steps[:bisect_right(steps, n_sites - j)] for j in range(n_sites + 1)]
+    # A GentileRule's cap m is the only pruning: a word ending in m copies of
+    # one site takes no step 0. Without one m = N: no word here is that long.
+    m = rule.max_occupancy if isinstance(rule, GentileRule) else n_particles
     words: list[MonomialState] = [(j,) for j in range(1, n_sites + 1)]
-    if isinstance(rule, GentileRule):
-        m = rule.max_occupancy
-        # A sorted word w ends in m copies of its last site exactly when
-        # w[-m] == w[-1]; it then takes no step 0.
-        for _ in range(n_particles - 2):
-            words = [w + (w[-1] + d,) for w in words for d in nexts[w[-1]]
-                     if d or len(w) < m or w[-m] != w[-1]]
-        for w in words:
-            j = w[-1]
-            yield w, j, nexts[j][1:] if len(w) >= m and w[-m] == j else nexts[j]
-        return
     for _ in range(n_particles - 2):
-        words = [w + (w[-1] + d,) for w in words for d in nexts[w[-1]]]
+        words = [w + (w[-1] + d,) for w in words for d in nexts[w[-1]]
+                 if d or len(w) < m or w[-m] != w[-1]]
     for w in words:
         j = w[-1]
-        yield w, j, nexts[j]
+        yield w, j, nexts[j][1:] if len(w) >= m and w[-m] == j else nexts[j]
 
 
 def enumerate_allowed(
@@ -332,8 +332,7 @@ def count_allowed_states(
     the length of `enumerate_allowed`'s list, counted from the same steps
     with no listing and no candidate cap. Other rules raise TypeError."""
     _check_sizes(n_sites, n_particles)
-    if rule is not None and not isinstance(rule, AdjacentPairRule):
-        raise TypeError(f"unsupported rule type {type(rule).__name__}")
+    _check_rule(rule, (AdjacentPairRule,))
     return _count_by_last_site(n_sites, n_particles, rule, canonical=True)
 
 
@@ -346,6 +345,7 @@ def count_allowed_words(
     quon algebra, whose unprojected Gram matrix is the identity on words.
     """
     _check_sizes(n_sites, n_particles)
+    _check_rule(rule)
     if rule is None:
         return n_sites**n_particles
     if isinstance(rule, TotalCapRule):
@@ -363,6 +363,4 @@ def count_allowed_words(
                         new[used + c] += ways * comb(n_particles - used, c)
             dp = new
         return dp[n_particles]
-    if isinstance(rule, AdjacentPairRule):
-        return _count_by_last_site(n_sites, n_particles, rule, canonical=False)
-    raise TypeError(f"unsupported rule type {type(rule).__name__}")
+    return _count_by_last_site(n_sites, n_particles, rule, canonical=False)

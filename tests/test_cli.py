@@ -180,6 +180,21 @@ def test_spectrum_command(capsys):
     assert code == 0
     header, rows = parse_csv(out)
     assert rows[0][-1] == "true"
+    code, out, err = run_cli(["spectrum", "--N", "2", "--lambda", "1", "--L", "1e-150"], capsys)
+    assert code == 0
+    assert parse_csv(out)[1][0][-3:] == ["1.9739208802178714e+301"] * 2 + ["true"]
+
+
+# Past the float range an energy overflows to inf, the ground energy's L**2
+# underflows to 0 (1e-200), and a gap excitation fails to convert (10**400).
+@pytest.mark.parametrize("options", [["--L", "1e-160"], ["--L", "1e-200"],
+                                     ["--L", "6", "--filling", f"0,{10**400}"],
+                                     ["--L", "6", "--filling", f"0,{10**200}"]],
+                         ids=["L-1e-160", "L-1e-200", "filling-10^400", "filling-10^200"])
+def test_spectrum_writes_no_non_finite_float(options, capsys):
+    code, out, err = run_cli(["spectrum", "--N", "2", "--lambda", "1", *options], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: energy at N=2, lambda=1, L=") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("length", ["inf", "nan", "0"])

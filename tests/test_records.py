@@ -140,6 +140,14 @@ def test_constructors_normalise_their_fields():
     assert Filling((0,), 1, 2.0).lam == Fraction(1)
     assert type(Filling((0,), 1, 2.0).lam) is Fraction
     assert pickle.loads(pickle.dumps(XFermiRule([3, 1]))) == XFermiRule((1, 3))
+    # a record holds tuples: a list argument is copied into one, a tuple kept
+    sites = (1, 2, 3)
+    assert ModeLattice(sites).sites is sites
+    for built, expected, field in [(ModeLattice([1, 2, 3]), ModeLattice(sites), "sites"),
+                                   (Filling([0, 1], 1, 6.5), Filling((0, 1), 1, 6.5), "n"),
+                                   (XBoseRule([2, 1]), XBoseRule((1, 2)), "gaps")]:
+        assert built == expected and hash(built) == hash(expected)
+        assert type(getattr(built, field)) is tuple
 
 
 # (constructor call, ValueError message)

@@ -7,14 +7,15 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from fockcount.core import bose, build_lattice
+from fockcount.core import bose, build_lattice, quon
 from fockcount.counting import count_enumerated, count_gentile
-from fockcount.gram import gram_matrix, one_particle_dimension, sector_dimension
+from fockcount.gram import extended_g, gram_matrix, one_particle_dimension, sector_dimension
 from fockcount.restrictions import (
     AdjacentPairRule,
     CSRule,
     CapacityExceededError,
     GentileRule,
+    OccupancyRule,
     RestrictionRule,
     TotalCapRule,
     WindowRule,
@@ -195,6 +196,8 @@ def test_gentile_listing_matches_the_closed_form(m, n, most):
     assert states == sorted(states)
     assert all(s == tuple(sorted(s)) for s in states)
     assert len(states) == count_gentile(m, n, most)
+    # a cap of N prunes no word: the walk reads m = N without a GentileRule
+    assert enumerate_allowed(m, n, GentileRule(n)) == enumerate_allowed(m, n)
 
 
 def test_rule_of_no_supported_type_is_refused():
@@ -204,20 +207,37 @@ def test_rule_of_no_supported_type_is_refused():
         def allows(self, state):
             return True
 
+    class EvenRule(OccupancyRule):
+        __slots__ = ()
+
+        def multiset_allowed(self, word):
+            return len(word) % 2 == 0
+
     for n in (0, 1, 3):
         with pytest.raises(TypeError, match="EveryWord"):
             enumerate_allowed(4, n, EveryWord())
         with pytest.raises(TypeError, match="EveryWord"):
             count_allowed_states(4, n, EveryWord())
-    # the Gram route tests no word one by one, so it refuses the rule too
-    with pytest.raises(TypeError, match="EveryWord"):
-        sector_dimension((1, 2, 2), bose(), EveryWord())
-    with pytest.raises(TypeError, match="EveryWord"):
-        gram_matrix((1, 2, 2), bose(), EveryWord())
-    with pytest.raises(TypeError, match="EveryWord"):
-        count_enumerated(4, 2, EveryWord(), bose())
-    with pytest.raises(TypeError, match="EveryWord"):
-        one_particle_dimension((1, 2), build_lattice(4), bose(), EveryWord())
+    for n in (0, 2):
+        with pytest.raises(TypeError, match="EveryWord"):
+            count_allowed_words(4, n, EveryWord())
+        for alg in (quon(0), bose()):
+            with pytest.raises(TypeError, match="EveryWord"):
+                count_enumerated(4, n, EveryWord(), alg)
+    # the Gram route tests no word one by one, so it refuses the rule too, and
+    # takes no occupancy rule but a GentileRule or a TotalCapRule
+    for rule in (EveryWord(), EvenRule()):
+        name = type(rule).__name__
+        with pytest.raises(TypeError, match=name):
+            sector_dimension((1, 2, 2), bose(), rule)
+        with pytest.raises(TypeError, match=name):
+            gram_matrix((1, 2, 2), bose(), rule)
+        with pytest.raises(TypeError, match=name):
+            count_enumerated(4, 2, rule, bose())
+        with pytest.raises(TypeError, match=name):
+            one_particle_dimension((1, 2), build_lattice(4), bose(), rule)
+        with pytest.raises(TypeError, match=name):
+            extended_g((1,), (2,), build_lattice(4), bose(), rule)
 
 
 def test_enumeration_free_case_counts():

@@ -239,42 +239,77 @@ def _json_row_parts(family: str, m: int, n: int) -> tuple[str, str, str, str]:
     return head, ',\n    "state": [\n      ', ",\n      ", "\n    ]\n  }"
 
 
-# The most rows one string of listing text holds: at N = 1 a point is one
-# group of M rows, and M may be as large as the candidate cap.
+# The most rows one string of listing text holds: at N = 1 a point is M
+# rows, and M may be as large as the candidate cap.
 _GROUP_ROWS = 4096
 
 
 def _point_rows(parts: tuple[str, str, str, str], m: int, n: int, rule) -> Iterator[str]:
-    """The text of one point's rows, one string per group of
-    `_allowed_groups` (split after `_GROUP_ROWS` rows), made as the group is
-    listed. A row is head, index, mid and tail[k] for its last site k: mid,
-    open and then each prefix site followed by sep, is made once per group,
-    and tail[k], site k and then close, once per point."""
+    """The text of one point's rows, made as the rows are listed, in
+    strings of one to `_GROUP_ROWS` rows. A row is head, its index, open,
+    each site but the last followed by sep, the last site and close.
+
+    At N <= 3, where no tail state of `_allowed_groups` recurs, a string is
+    the rows of one word w + (c,) of N - 1 sites: mid, open and the word's
+    sites each followed by sep, is made once per word, and tail[k], site k
+    and close, once per point. At N >= 4 a string is the rows of one word
+    w of N - 2 sites: the endings c, sep, c + d and close of its rows are
+    made once per tail state, and the string is one %-format of w's row
+    template, repeated once per ending, over its (index, ending) pairs.
+    """
     head, open_, sep, close = parts
     if n == 0:
         yield f"{head}0{open_}{close}"
         return
-    groups = _allowed_groups(m, n, rule)
-    if m > _GROUP_ROWS:  # else no group has more rows than one string holds
-        groups = ((prefix, j, steps[lo:lo + _GROUP_ROWS]) for prefix, j, steps in groups
-                  for lo in range(0, len(steps), _GROUP_ROWS))
-    # At N = 1 each site ends one row, so its tail is made with its group
-    # rather than all M tails held at once.
-    tail = [f"{k}{close}" for k in range(m + 1)] if n > 1 else None
+    if n == 1:  # every site, whatever the rule
+        for lo in range(1, m + 1, _GROUP_ROWS):
+            yield "".join([f"{head}{k - 1}{open_}{k}{close}"
+                           for k in range(lo, min(lo + _GROUP_ROWS, m + 1))])
+        return
     i = 0
-    for prefix, j, steps in groups:
-        mid = open_ + "".join([f"{x}{sep}" for x in prefix])
-        ends = tail or {j + d: f"{j + d}{close}" for d in steps}
-        yield "".join([f"{head}{index}{mid}{ends[j + d]}"
-                       for index, d in enumerate(steps, i)])
-        i += len(steps)
+    walk = _allowed_groups(m, n, rule)
+    if n <= 3:
+        if m > _GROUP_ROWS:  # else no c takes more steps than one string holds
+            walk = ((w, state, [(c, steps[lo:lo + _GROUP_ROWS]) for c, steps in pairs
+                                for lo in range(0, len(steps), _GROUP_ROWS)])
+                    for w, state, pairs in walk)
+        tail = [f"{k}{close}" for k in range(m + 1)]
+        for w, _, pairs in walk:
+            sites = open_ + "".join([f"{x}{sep}" for x in w])
+            for c, steps in pairs:
+                mid = f"{sites}{c}{sep}"
+                yield "".join([f"{head}{index}{mid}{tail[c + d]}"
+                               for index, d in enumerate(steps, i)])
+                i += len(steps)
+        return
+    # The fixed text of a row template, with any % doubled.
+    head, open_, site_sep = [text.replace("%", "%%") for text in (head, open_, sep)]
+    # Each tail state's strings of rows, as their %-fields: an (index,
+    # ending) pair per row, each ending made once; each word fills in the
+    # indices.
+    blocks: dict[object, list[list]] = {}
+    for w, state, pairs in walk:
+        strings = blocks.get(state)
+        if strings is None:
+            ends = [f"{c}{sep}{c + d}{close}" for c, steps in pairs for d in steps]
+            strings = blocks[state] = []
+            for lo in range(0, len(ends), _GROUP_ROWS):
+                part = ends[lo:lo + _GROUP_ROWS]
+                fields = [None] * (2 * len(part))
+                fields[1::2] = part
+                strings.append(fields)
+        row = f"{head}%d{open_}{''.join([f'{x}{site_sep}' for x in w])}%s"
+        for fields in strings:
+            k = len(fields) // 2
+            fields[::2] = range(i, i + k)
+            yield (row * k) % tuple(fields)
+            i += k
 
 
 def _json_array(objects: Iterator[str]) -> Iterator[str]:
     """The "[\\n" ... "\\n]\\n" frame around texts of objects that each
-    start with ",\\n" (the first loses it), or "[]\\n" for none. A text
-    may be empty: a group with no rows."""
-    first = next(filter(None, objects), None)
+    start with ",\\n" (the first loses it), or "[]\\n" for none."""
+    first = next(objects, None)
     if first is None:
         yield "[]\n"
         return

@@ -1141,11 +1141,11 @@ _LISTING_OPTIONS = {
 @st.composite
 def _listings(draw):
     """An enumerate family, its option values, an M grid (M <= 9), an N grid
-    (N <= 4) and a format."""
+    (N <= 6) and a format."""
     family = draw(st.sampled_from(list(RULES)))
     values = {name: draw(strategy) for name, strategy in _LISTING_OPTIONS[family].items()}
     ms = draw(st.lists(st.integers(1, 9), min_size=1, max_size=3))
-    ns = draw(st.lists(st.integers(0, 4), min_size=1, max_size=3))
+    ns = draw(st.lists(st.integers(0, 6), min_size=1, max_size=3))
     return family, values, ms, ns, draw(st.sampled_from(["csv", "json"]))
 
 
@@ -1161,22 +1161,52 @@ def _listings(draw):
 @example(listing=("none", {}, [2 * cli._GROUP_ROWS + 3, 3], [1, 0], "json"))
 # gap 3 fits no word on 2 sites: the listing's first groups have no rows
 @example(listing=("x-fermi", {"x_set": {3}}, [2, 5], [2], "json"))
+# runs of one site cross the two sites that end each state
+@example(listing=("gentile", {"m": 2}, [5, 8], [5], "csv"))
+# no word of 3 sites on 9 sites takes two more steps of 3: the first
+# blocks have no rows
+@example(listing=("x-fermi", {"x_set": {3}}, [9, 14], [5], "json"))
 def test_a_listing_is_render_of_enumerate_allowed(listing, tmp_path_factory):
     family, values, ms, ns, fmt = listing
     target = tmp_path_factory.mktemp("listing") / "rows"
+    argv = _listing_argv(family, values, ms, ns, fmt) + ["--out", str(target)]
+    assert main(argv) == 0
+    assert target.read_bytes().decode() == _rendered_listing(family, values, ms, ns, fmt)
+
+
+def _listing_argv(family, values, ms, ns, fmt):
     argv = ["enumerate", "--family", family, "--M", ",".join(map(str, ms)),
-            "--N", ",".join(map(str, ns)), "--format", fmt, "--out", str(target)]
+            "--N", ",".join(map(str, ns)), "--format", fmt]
     for name, value in values.items():
         text = ",".join(map(str, sorted(value))) if name == "x_set" else str(value)
         argv += [f"--{name.replace('_', '-')}", text]
-    assert main(argv) == 0
+    return argv
+
+
+def _rendered_listing(family, values, ms, ns, fmt):
+    """render() of the rows of enumerate_allowed at every grid point."""
     options, build = RULES[family]
     rule = build(*[tuple(sorted(values[name])) if name == "x_set" else values[name]
                    for name in options])
     rows = [(family, m, n, i, state) for m in ms for n in ns
             for i, state in enumerate(enumerate_allowed(m, n, rule))]
-    header = ["family", "M", "N", "index", "state"]
-    assert target.read_bytes().decode() == render(header, rows, fmt)
+    return render(["family", "M", "N", "index", "state"], rows, fmt)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_a_block_of_more_rows_than_one_string_holds_is_split(fmt, monkeypatch):
+    # At five rows a string, a word of N - 2 sites at N >= 4 takes more
+    # rows than one string holds from M = 4 on: (1, 1) takes six at M = 4,
+    # N = 4 (at the default size no word does below M of about 92). So do
+    # the last sites of a word at N = 2, 3 and the point at N = 1.
+    monkeypatch.setattr(cli, "_GROUP_ROWS", 5)
+    values, ms, ns = {"m": 2}, [3, 4, 7], list(range(7))
+    args = cli._parse_plain(_listing_argv("gentile", values, ms, ns, fmt))
+    _apply_config(args)
+    texts = list(cli.run_enumerate(args)[1])
+    assert "".join(texts) == _rendered_listing("gentile", values, ms, ns, fmt)
+    row_mark = '"index"' if fmt == "json" else "\n"
+    assert max(text.count(row_mark) for text in texts[1:]) == 5
 
 
 @pytest.mark.parametrize("command", ["count", "enumerate"])

@@ -15,9 +15,9 @@ import io
 import math
 import os
 import sys
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from fractions import Fraction
-from itertools import chain, combinations_with_replacement, product
+from itertools import chain, combinations_with_replacement, product, repeat
 from types import SimpleNamespace
 
 from .core import bose, fermi, quon
@@ -244,65 +244,68 @@ def _json_row_parts(family: str, m: int, n: int) -> tuple[str, str, str, str]:
 _GROUP_ROWS = 4096
 
 
+def _row_fields(pairs: list[tuple[int, Sequence[int]]], head: str, sep: str,
+                ends: list[str] | None, close: str) -> Iterator[list]:
+    """The texts of the rows of an item's `pairs`, five a row: head, a slot
+    for its index, a slot for open and the word's sites, c followed by sep
+    (nothing for site 0) and c + d followed by close, in lists of at most
+    `_GROUP_ROWS` rows. The last text is ends[k] for site k, or is made here
+    where ends is None."""
+    size = 5 * _GROUP_ROWS
+    fields: list = []
+    for c, steps in pairs:
+        text = f"{c}{sep}" if c else ""
+        for lo in range(0, len(steps), _GROUP_ROWS):
+            part = steps[lo:lo + _GROUP_ROWS]
+            rows = [head, None, None, text, None] * len(part)
+            if ends is None:
+                rows[4::5] = [f"{c + d}{close}" for d in part]
+            elif part[-1] - part[0] == len(part) - 1:  # consecutive steps: one slice
+                rows[4::5] = ends[c + part[0]:c + part[-1] + 1]
+            else:
+                rows[4::5] = [ends[c + d] for d in part]
+            fields += rows
+            if len(fields) >= size:
+                yield fields[:size]
+                del fields[:size]
+    if fields:
+        yield fields
+
+
 def _point_rows(parts: tuple[str, str, str, str], m: int, n: int, rule) -> Iterator[str]:
     """The text of one point's rows, made as the rows are listed, in
     strings of one to `_GROUP_ROWS` rows. A row is head, its index, open,
     each site but the last followed by sep, the last site and close.
 
-    At N <= 3, where no tail state of `_allowed_groups` recurs, a string is
-    the rows of one word w + (c,) of N - 1 sites: mid, open and the word's
-    sites each followed by sep, is made once per word, and tail[k], site k
-    and close, once per point. At N >= 4 a string is the rows of one word
-    w of N - 2 sites: the endings c, sep, c + d and close of its rows are
-    made once per tail state, and the string is one %-format of w's row
-    template, repeated once per ending, over its (index, ending) pairs.
+    A string holds rows of one word w of N - 2 sites of `_allowed_groups`:
+    it is the join of their `_row_fields`, with each row's index and w's
+    text (open and each site of w followed by sep) filled in. A tail state
+    that words share (N >= 4) has its fields made once and kept for the
+    point; any other word's are made with its text. The text of each last
+    site k, k and close, is made once per point, except at N = 1, where
+    each site ends one row and its text is made with its row rather than
+    all M held at once.
     """
     head, open_, sep, close = parts
     if n == 0:
         yield f"{head}0{open_}{close}"
         return
-    if n == 1:  # every site, whatever the rule
-        for lo in range(1, m + 1, _GROUP_ROWS):
-            yield "".join([f"{head}{k - 1}{open_}{k}{close}"
-                           for k in range(lo, min(lo + _GROUP_ROWS, m + 1))])
-        return
+    ends = [f"{k}{close}" for k in range(m + 1)] if n > 1 else None
+    kept: dict[object, list[list]] = {}
     i = 0
-    walk = _allowed_groups(m, n, rule)
-    if n <= 3:
-        if m > _GROUP_ROWS:  # else no c takes more steps than one string holds
-            walk = ((w, state, [(c, steps[lo:lo + _GROUP_ROWS]) for c, steps in pairs
-                                for lo in range(0, len(steps), _GROUP_ROWS)])
-                    for w, state, pairs in walk)
-        tail = [f"{k}{close}" for k in range(m + 1)]
-        for w, _, pairs in walk:
-            sites = open_ + "".join([f"{x}{sep}" for x in w])
-            for c, steps in pairs:
-                mid = f"{sites}{c}{sep}"
-                yield "".join([f"{head}{index}{mid}{tail[c + d]}"
-                               for index, d in enumerate(steps, i)])
-                i += len(steps)
-        return
-    # The fixed text of a row template, with any % doubled.
-    head, open_, site_sep = [text.replace("%", "%%") for text in (head, open_, sep)]
-    # Each tail state's strings of rows, as their %-fields: an (index,
-    # ending) pair per row, each ending made once; each word fills in the
-    # indices.
-    blocks: dict[object, list[list]] = {}
-    for w, state, pairs in walk:
-        strings = blocks.get(state)
+    for w, state, pairs in _allowed_groups(m, n, rule):
+        strings = kept.get(state)  # a state of None is never kept
         if strings is None:
-            ends = [f"{c}{sep}{c + d}{close}" for c, steps in pairs for d in steps]
-            strings = blocks[state] = []
-            for lo in range(0, len(ends), _GROUP_ROWS):
-                part = ends[lo:lo + _GROUP_ROWS]
-                fields = [None] * (2 * len(part))
-                fields[1::2] = part
-                strings.append(fields)
-        row = f"{head}%d{open_}{''.join([f'{x}{site_sep}' for x in w])}%s"
+            strings = _row_fields(pairs, head, sep, ends, close)
+            if state is not None:
+                strings = kept[state] = list(strings)
+        text = open_ + "".join([f"{x}{sep}" for x in w])
         for fields in strings:
-            k = len(fields) // 2
-            fields[::2] = range(i, i + k)
-            yield (row * k) % tuple(fields)
+            k = len(fields) // 5
+            fields[1::5] = map(str, range(i, i + k))
+            fields[2::5] = repeat(text, k)
+            yield "".join(fields)
+            fields[1::5] = repeat(None, k)  # a kept list holds no index text
             i += k
 
 

@@ -11,7 +11,6 @@ one set of rule types, `_RULE_TYPES`: gap rules, GentileRule, TotalCapRule
 
 from bisect import bisect_right
 from collections.abc import Iterator, Sequence
-from functools import lru_cache
 from itertools import accumulate
 from math import comb, log10
 from operator import add, sub
@@ -195,15 +194,13 @@ def _check_candidates(n_sites: int, n_particles: int, cap: int) -> None:
         )
 
 
-@lru_cache(maxsize=128)
 def _steps(n_sites: int, rule: RestrictionRule | None, canonical: bool) -> Sequence[int]:
     """The gaps k - j from a word's site j to its next site k, in increasing
     order: 0..M-1 for canonical words, 1-M..M-1 for ordered ones, less
-    those an AdjacentPairRule bans. Without a gap rule they are a range, with
-    one a tuple; each (M, rule, canonical) is built once."""
+    those an AdjacentPairRule bans."""
     steps = range(0 if canonical else 1 - n_sites, n_sites)
     if isinstance(rule, AdjacentPairRule):
-        return tuple([d for d in steps if rule.gap_allowed(d)])
+        return [d for d in steps if rule.gap_allowed(d)]
     return steps
 
 
@@ -271,18 +268,23 @@ def _check_listing(
 
 def _allowed_groups(
     n_sites: int, n_particles: int, rule: RestrictionRule | None
-) -> Iterator[tuple[MonomialState, object, list[tuple[int, Sequence[int]]]]]:
-    """The states of `enumerate_allowed` for N >= 2, by words of N - 2
+) -> Iterator[tuple[MonomialState, tuple[int, int] | None, list[tuple[int, Sequence[int]]]]]:
+    """The states of `enumerate_allowed` for N >= 1, by words of N - 2
     sites, for a point that `_check_listing` passed. Each item (w, state,
     pairs) is such a word, its tail state and, in order, the pairs
     (c, steps) of a next site c and the steps d, in increasing order and at
     least one, that the word may take from c; its states are w + (c, c + d).
+    Site 0 lies before the lattice and is in no state: at N = 1 the one
+    item is the empty word with the pair (0, 1..M), every site, whatever
+    the rule.
 
-    The tail state is all that decides a word's pairs: its last site b (0
-    for the empty word at N = 2), and under a GentileRule with cap m also
-    the number of copies of b among its last m sites. Each state's pairs are
-    built once per point and shared by its words, so a caller may make what
-    it derives from them once per state.
+    The tail state (b, run) is all that decides a word's pairs: its last
+    site b (0 for the empty word), and under a GentileRule with cap m the
+    number of copies of b among its last m sites (else 0). From N = 4 on,
+    words share tail states: each state's pairs are built once per point and
+    shared by its words, so a caller may make what it derives from them once
+    per state. Below N = 4 every word has a state of its own, and the state
+    is given as None.
 
     Words grow one site per level: each word of a level, in order, is
     extended by the canonical steps (`_steps`) that stay on the lattice from
@@ -295,36 +297,39 @@ def _allowed_groups(
     if isinstance(rule, TotalCapRule) and n_particles > rule.cap:
         # The cap reads only a word's length: every word passes, or none.
         return
-    steps = _steps(n_sites, rule, True)  # canonical
+    # From site 0 every site begins a word.
+    first = range(1, n_sites + 1)
+    if n_particles == 1:
+        yield (), None, [(0, first)]
+        return
+    steps = _steps(n_sites, rule, canonical=True)
     # nexts[j]: the steps that stay on the lattice from site j; a gap rule's
-    # hold no more entries than there are two-particle states. From site 0,
-    # before the lattice, every site begins a word.
-    nexts = [range(1, n_sites + 1)]
-    nexts += [steps[:bisect_right(steps, n_sites - j)] for j in range(1, n_sites + 1)]
+    # hold no more entries than there are two-particle states
+    nexts = [first] + [steps[:bisect_right(steps, n_sites - j)] for j in range(1, n_sites + 1)]
     # A GentileRule's cap m is the only pruning: a word ending in m copies of
     # one site takes no step 0. Without one m = N: no word here is that long.
     gentile = isinstance(rule, GentileRule)
     m = rule.max_occupancy if gentile else n_particles
-    words: list[MonomialState] = [(j,) for j in range(1, n_sites + 1)] if n_particles > 2 else [()]
+    words: list[MonomialState] = [(j,) for j in first] if n_particles > 2 else [()]
     for _ in range(n_particles - 3):
         words = [w + (w[-1] + d,) for w in words for d in nexts[w[-1]]
                  if d or len(w) < m or w[-m] != w[-1]]
-    tails: dict[object, list[tuple[int, Sequence[int]]]] = {}
+    shared = n_particles > 3  # else no two words share a tail state
+    tails: dict[tuple[int, int], list[tuple[int, Sequence[int]]]] = {}
     for w in words:
         b = w[-1] if w else 0
-        state = (b, w[-m:].count(b)) if gentile else b
-        pairs = tails.get(state)
+        run = w[-m:].count(b) if gentile else 0
+        pairs = tails.get((b, run))
         if pairs is None:
-            if gentile:
-                # a site held m times takes no step 0; run: copies of b ending w
-                run = state[1]
+            if gentile:  # a site held m times takes no step 0
                 pairs = [(b + d, nexts[b + d][(run + 1 if d == 0 else 1) >= m:])
                          for d in nexts[b][run >= m:]]
-                pairs = [pair for pair in pairs if pair[1]]
             else:
-                pairs = [(b + d, nexts[b + d]) for d in nexts[b] if nexts[b + d]]
-            tails[state] = pairs
-        yield w, state, pairs
+                pairs = [(b + d, nexts[b + d]) for d in nexts[b]]
+            pairs = [pair for pair in pairs if pair[1]]
+            if shared:
+                tails[b, run] = pairs
+        yield w, (b, run) if shared else None, pairs
 
 
 def enumerate_allowed(
@@ -338,15 +343,18 @@ def enumerate_allowed(
     The raw candidate space is the set of index multisets; if it exceeds the
     cap the search is refused rather than silently truncated. Rules other
     than an AdjacentPairRule, a GentileRule or a TotalCapRule raise
-    TypeError. Every rule passes the vacuum at N = 0 and every site at
-    N = 1; from N = 2 on the listing is the states of `_allowed_groups`,
-    in order.
+    TypeError. The listing is the vacuum at N = 0 and the states of
+    `_allowed_groups`, in order, from N = 1 on.
     """
     _check_listing(n_sites, n_particles, rule, cap)
-    if n_particles <= 1:
-        return [()] if n_particles == 0 else [(j,) for j in range(1, n_sites + 1)]
-    return [w + (c, c + d) for w, _, pairs in _allowed_groups(n_sites, n_particles, rule)
-            for c, steps in pairs for d in steps]
+    if n_particles == 0:
+        return [()]
+    states: list[MonomialState] = []
+    for w, _, pairs in _allowed_groups(n_sites, n_particles, rule):
+        for c, steps in pairs:
+            prefix = w + (c,) if c else w  # site 0 is in no state
+            states += [prefix + (c + d,) for d in steps]
+    return states
 
 
 def count_allowed_states(

@@ -1124,6 +1124,19 @@ def test_one_wide_group_is_written_a_bounded_number_of_rows_at_a_time(tmp_path):
         [f"none,500000,1,{i},{i + 1}\n" for i in range(500_000)])
 
 
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux VmHWM")
+def test_the_rows_of_shared_tail_states_are_kept_in_bounded_memory():
+    # At N = 4 the 120 last sites of the two-site words are tail states that
+    # later words share, and their rows' texts, about M^3 / 6 = 288,000 of
+    # them, are kept for the point. Kept with their index texts they peak
+    # near 48 MB; a walk that holds all C(M + 2, 3) three-site words, near
+    # 36 MB.
+    argv = ["enumerate", "--M", "120", "--N", "4", "--cap", "10000000", "--out", os.devnull]
+    rc, peak_kb = _listing_peak_kb(argv)
+    assert rc == 0
+    assert peak_kb < 36 * 1024
+
+
 # Each rule family's options, by dest, over values in its rule's domain.
 _LISTING_OPTIONS = {
     "none": {},
@@ -1194,17 +1207,19 @@ def _rendered_listing(family, values, ms, ns, fmt):
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_a_block_of_more_rows_than_one_string_holds_is_split(fmt, monkeypatch):
+@pytest.mark.parametrize("family,values", [("gentile", {"m": 2}), ("cs", {"p": 1, "q": 2})])
+def test_a_block_of_more_rows_than_one_string_holds_is_split(family, values, fmt, monkeypatch):
     # At five rows a string, a word of N - 2 sites at N >= 4 takes more
-    # rows than one string holds from M = 4 on: (1, 1) takes six at M = 4,
-    # N = 4 (at the default size no word does below M of about 92). So do
-    # the last sites of a word at N = 2, 3 and the point at N = 1.
+    # rows than one string holds from M = 4 on: under gentile m = 2, (1, 1)
+    # takes six at M = 4, N = 4 (at the default size no word does below M
+    # of about 92). So do the next sites of a word at N = 2, 3 and the point
+    # at N = 1. The cs gaps 1, 3, 5 are not consecutive.
     monkeypatch.setattr(cli, "_GROUP_ROWS", 5)
-    values, ms, ns = {"m": 2}, [3, 4, 7], list(range(7))
-    args = cli._parse_plain(_listing_argv("gentile", values, ms, ns, fmt))
+    ms, ns = [3, 4, 7], list(range(7))
+    args = cli._parse_plain(_listing_argv(family, values, ms, ns, fmt))
     _apply_config(args)
     texts = list(cli.run_enumerate(args)[1])
-    assert "".join(texts) == _rendered_listing("gentile", values, ms, ns, fmt)
+    assert "".join(texts) == _rendered_listing(family, values, ms, ns, fmt)
     row_mark = '"index"' if fmt == "json" else "\n"
     assert max(text.count(row_mark) for text in texts[1:]) == 5
 

@@ -52,7 +52,6 @@ from fockcount.restrictions import (
     WindowRule,
     XBoseRule,
     XFermiRule,
-    _steps,
 )
 
 from oracles import (
@@ -577,8 +576,7 @@ def test_sector_dimension_matches_gaussian_rank_over_a_sweep():
 
 
 def test_every_gram_cache_is_bounded():
-    # with the step lists that the listing and the word counts read
-    for cache in (_contract, _canonical_orbit, _pair_mask, _shape_gram, _sector_rank, _steps):
+    for cache in (_contract, _canonical_orbit, _pair_mask, _shape_gram, _sector_rank):
         assert cache.cache_info().maxsize is not None
 
 

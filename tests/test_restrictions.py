@@ -24,7 +24,6 @@ from fockcount.restrictions import (
     count_allowed_states,
     count_allowed_words,
     enumerate_allowed,
-    _steps,
 )
 
 from oracles import (
@@ -174,8 +173,8 @@ RULE_PREDICATES = {
 
 @pytest.mark.parametrize("rule,predicate", list(RULE_PREDICATES.items()))
 def test_enumeration_matches_brute_filter(rule, predicate):
-    # N = 4..6 list by words of N - 2 sites, whose runs of one site cross
-    # the two sites that end each state
+    # from N = 4 on, words of N - 2 sites share tail states, and a run of
+    # one site may cross into the two sites that end a state
     for m in range(1, 8):
         for n in range(7):
             expected = filter_states(brute_states(m, n), predicate)
@@ -315,15 +314,6 @@ def test_counts_match_the_site_table(m, n, rule):
     assert count_allowed_states(m, n, rule) == count_by_site_table(m, n, rule, True)
     if rule is not None:
         assert count_allowed_words(m, n, rule) == count_by_site_table(m, n, rule, False)
-
-
-def test_steps_are_made_once_per_lattice_and_rule():
-    # without a gap rule a range, with one the tuple of the gaps it allows
-    assert isinstance(_steps(12, None, False), range)
-    assert _steps(12, GentileRule(2), True) == range(12)
-    steps = _steps(12, CSRule(1, 2), False)
-    assert steps == (1, 3, 5, 7, 9, 11)
-    assert _steps(12, CSRule(1, 2), False) is steps
 
 
 def test_counts_hold_memory_linear_in_the_sites():
